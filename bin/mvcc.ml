@@ -47,7 +47,7 @@ let dump_asm (p : Core.Compiler.program) =
           print_string
             (Mv_isa.Asm.disassemble
                ~resolve:(fun a -> Image.symbol_at img a)
-               img.Image.mem ~off:addr ~len:size);
+               ~base:addr (Image.sub img addr size) ~off:0 ~len:size);
           print_newline ())
         u.cu_prog.Mv_ir.Ir.p_fns)
     p.p_units

@@ -86,9 +86,9 @@ let oracle_arg =
   Arg.(
     value & opt_all string []
     & info [ "oracle" ] ~docv:"NAME"
-        ~doc:"Restrict to the named oracle(s); repeatable.  Known: interp-vs-vm, \
-              opt-vs-unopt, commit-soundness, commit-idempotent, schedule-equiv, \
-              osr-state-equiv, smp-schedule-equiv")
+        ~doc:
+          ("Restrict to the named oracle(s); repeatable.  Known: "
+          ^ String.concat ", " Oracle.oracle_names))
 
 let small_arg =
   Arg.(value & flag & info [ "small" ] ~doc:"Generate smaller programs (quick smokes)")
@@ -207,7 +207,11 @@ let cmd =
          observable globals, and the loop's progress counter must all \
          match.  $(b,smp-schedule-equiv): the same program \
          on a multi-hart container with cross-modifying-code patching \
-         (stop_machine + text_poke) vs single-hart execution.";
+         (stop_machine + text_poke) vs single-hart execution.  \
+         $(b,lazy-eager-equiv): every committed valuation through an \
+         eager pre-expanded build vs a lazy build that materializes \
+         variants on demand under a one-block budget — results and \
+         observable globals must match.";
       `S "CHAOS MODES";
       `P
         "$(b,--chaos) injects a known bug into the patching machinery to \
@@ -223,7 +227,10 @@ let cmd =
          one live-entry location per safepoint in the OSR frame map, so \
          the on-stack transfer rebuilds the parked frame from the wrong \
          register or spill slot (pair with \
-         $(b,--oracle osr-state-equiv)).";
+         $(b,--oracle osr-state-equiv)).  $(b,stale-cache): an eviction \
+         forgets to drop the structural-hash dedup entry, so a later hit \
+         links a recycled block holding another variant's body (pair with \
+         $(b,--oracle lazy-eager-equiv)).";
       `S Manpage.s_exit_status;
       `P
         "0 on a clean run; 1 when a divergence was found (or, with \

@@ -30,6 +30,7 @@ type compiled_unit = {
   cu_prog : Ir.prog;  (** after variant generation and optimization *)
   cu_mv : Variantgen.mv_function list;
   cu_recipes : Variantgen.recipe list;  (** lazy builds only *)
+  cu_lazy : bool;  (** compiled with [~lazy_variants] *)
   cu_call_pad : string -> int;  (** the unit's call-site padding rule *)
   cu_warnings : string list;
 }
@@ -172,6 +173,7 @@ let compile_unit ?(max_variants = Variantgen.default_max_variants)
     cu_prog = prog;
     cu_mv = mv_fns;
     cu_recipes = r_recipes;
+    cu_lazy = lazy_variants;
     cu_call_pad = call_pad;
     cu_warnings =
       List.map
@@ -185,8 +187,17 @@ let compile_unit ?(max_variants = Variantgen.default_max_variants)
 (* Whole programs                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Only a lazy build gains code after load, so only it reserves the
+   variant-text region by default. *)
 let link ?mem_size ?vtext_size (units : compiled_unit list) : Image.t =
-  try Mv_link.Linker.link ?mem_size ?vtext_size (List.map (fun u -> u.cu_obj) units)
+  let vtext_size =
+    match vtext_size with
+    | Some n -> n
+    | None ->
+        if List.exists (fun u -> u.cu_lazy) units then Mv_link.Linker.default_vtext_size
+        else 0
+  in
+  try Mv_link.Linker.link ?mem_size ~vtext_size (List.map (fun u -> u.cu_obj) units)
   with Mv_link.Linker.Link_error m -> errf "link error: %s" m
 
 (** Compile and link a list of (unit name, source) pairs. *)

@@ -23,6 +23,7 @@ type compiled_unit = {
   cu_recipes : Variantgen.recipe list;
       (** specialization recipes for lazy builds; [[]] under eager
           generation *)
+  cu_lazy : bool;  (** compiled with [~lazy_variants:true] *)
   cu_call_pad : string -> int;
       (** the call-site padding rule the unit's text was emitted with *)
   cu_warnings : string list;
@@ -53,10 +54,15 @@ val compile_unit :
   compiled_unit
 
 (** Link compiled units into an image (raises {!Compile_error} on link
-    errors).  [vtext_size] is forwarded to {!Mv_link.Linker.link}. *)
+    errors).  [vtext_size] is forwarded to {!Mv_link.Linker.link}; it
+    defaults to {!Mv_link.Linker.default_vtext_size} when some unit was
+    compiled with [~lazy_variants:true] ([cu_lazy]) and to 0 otherwise,
+    so an eager image reserves no variant-text region.  An explicit
+    [vtext_size] always wins. *)
 val link : ?mem_size:int -> ?vtext_size:int -> compiled_unit list -> Mv_link.Image.t
 
-(** Compile and link a list of (unit name, source text) pairs. *)
+(** Compile and link a list of (unit name, source text) pairs;
+    [vtext_size] defaults as in {!link}. *)
 val build :
   ?max_variants:int ->
   ?callsite_padding:int ->

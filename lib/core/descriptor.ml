@@ -216,16 +216,30 @@ type function_record = {
 
 exception Parse_error of string
 
-let i32 mem off = Int32.to_int (Bytes.get_int32_le mem off)
-let u64 mem off = Int64.to_int (Bytes.get_int64_le mem off)
+(* A descriptor section copied out of the image, read at absolute
+   addresses.  A record that runs past the end of its section is
+   malformed. *)
+type section_view = { sv_base : int; sv_bytes : Bytes.t }
+
+let view img { Image.sr_base; sr_size } =
+  { sv_base = sr_base; sv_bytes = Image.sub img sr_base sr_size }
+
+let field mem off width =
+  let rel = off - mem.sv_base in
+  if rel < 0 || rel + width > Bytes.length mem.sv_bytes then
+    raise (Parse_error "record runs past the end of its section");
+  rel
+
+let i32 mem off = Int32.to_int (Bytes.get_int32_le mem.sv_bytes (field mem off 4))
+let u64 mem off = Int64.to_int (Bytes.get_int64_le mem.sv_bytes (field mem off 8))
 
 let parse_variables (img : Image.t) : variable list =
   match Image.section_range img Objfile.Mv_variables with
   | None -> []
-  | Some { Image.sr_base; sr_size } ->
+  | Some ({ Image.sr_base; sr_size } as range) ->
       if sr_size mod variable_record_size <> 0 then
         raise (Parse_error "multiverse.variables size is not a multiple of 32");
-      let mem = img.Image.mem in
+      let mem = view img range in
       List.init (sr_size / variable_record_size) (fun i ->
           let off = sr_base + (i * variable_record_size) in
           {
@@ -238,10 +252,10 @@ let parse_variables (img : Image.t) : variable list =
 let parse_callsites (img : Image.t) : callsite list =
   match Image.section_range img Objfile.Mv_callsites with
   | None -> []
-  | Some { Image.sr_base; sr_size } ->
+  | Some ({ Image.sr_base; sr_size } as range) ->
       if sr_size mod callsite_record_size <> 0 then
         raise (Parse_error "multiverse.callsites size is not a multiple of 16");
-      let mem = img.Image.mem in
+      let mem = view img range in
       List.init (sr_size / callsite_record_size) (fun i ->
           let off = sr_base + (i * callsite_record_size) in
           { cs_target = u64 mem off; cs_site = u64 mem (off + 8) })
@@ -249,8 +263,8 @@ let parse_callsites (img : Image.t) : callsite list =
 let parse_functions (img : Image.t) : function_record list =
   match Image.section_range img Objfile.Mv_functions with
   | None -> []
-  | Some { Image.sr_base; sr_size } ->
-      let mem = img.Image.mem in
+  | Some ({ Image.sr_base; sr_size } as range) ->
+      let mem = view img range in
       let limit = sr_base + sr_size in
       let rec parse_fns off acc =
         (* records are 8-aligned; skip alignment padding (zero generic
@@ -308,8 +322,8 @@ type framemap_record = {
 let parse_framemaps (img : Image.t) : framemap_record list =
   match Image.section_range img Objfile.Mv_framemaps with
   | None -> []
-  | Some { Image.sr_base; sr_size } ->
-      let mem = img.Image.mem in
+  | Some ({ Image.sr_base; sr_size } as range) ->
+      let mem = view img range in
       let limit = sr_base + sr_size in
       let rec parse_maps off acc =
         (* body addresses are never 0, so a zero word is alignment padding *)

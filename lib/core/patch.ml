@@ -58,7 +58,7 @@ let read_text t ~addr ~len = Image.read_bytes t.image addr len
 (* ------------------------------------------------------------------ *)
 
 let decode_at t ~addr =
-  try Mv_isa.Decode.decode t.image.Image.mem ~off:addr
+  try Image.decode t.image addr
   with Mv_isa.Decode.Decode_error (m, off) -> errf "decode at 0x%x: %s" off m
 
 (** The absolute target the direct [Call]/[Jmp] at [addr] currently

@@ -261,11 +261,12 @@ let errf fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 let max_callsite_padding = 10
 
 let site_of_callsite (img : Image.t) (cs : Descriptor.callsite) : site =
-  let _, insn_size = Mv_isa.Decode.decode img.Image.mem ~off:cs.cs_site in
+  let _, insn_size = Image.decode img cs.cs_site in
   let nop = Char.chr (Insn.opcode Insn.Nop) in
+  let after = Image.sub img (cs.cs_site + insn_size) max_callsite_padding in
   let rec pad_len k =
     if k >= max_callsite_padding then k
-    else if Bytes.get img.Image.mem (cs.cs_site + insn_size + k) = nop then pad_len (k + 1)
+    else if Bytes.get after k = nop then pad_len (k + 1)
     else k
   in
   let size = insn_size + pad_len 0 in

@@ -104,17 +104,27 @@ let value_token values =
     String.concat "" (List.map string_of_int values)
   else String.concat "," (List.map string_of_int values)
 
-(** Symbol name for a (possibly merged) variant: "fn.A=1.B=01". *)
+(** Symbol name for a (possibly merged) variant: "fn.A=1.B=01".  The
+    per-switch value sets name a merged variant only when its assignments
+    are their full product; otherwise two disjoint merges can share the
+    sets ([{A=0,B=0 | A=1,B=1}] and [{A=0,B=1 | A=1,B=0}]), so the name
+    gains the sorted assignment list over the switches that vary:
+    "fn.A=01.B=01@00_11". *)
 let variant_symbol fn_name (switches : string list) (assignments : (string * int) list list) =
   let per_var = Guard.values_per_var assignments in
-  let parts =
-    List.map
-      (fun var ->
-        let values = Option.value ~default:[] (Guard.Smap.find_opt var per_var) in
-        Printf.sprintf "%s=%s" var (value_token values))
-      switches
+  let values var = Option.value ~default:[] (Guard.Smap.find_opt var per_var) in
+  let parts = List.map (fun var -> Printf.sprintf "%s=%s" var (value_token (values var))) switches in
+  let name = String.concat "." (fn_name :: parts) in
+  let varying = List.filter (fun var -> List.length (values var) > 1) switches in
+  let tuples =
+    List.sort_uniq compare
+      (List.map
+         (fun a -> List.map (fun var -> Option.value ~default:0 (List.assoc_opt var a)) varying)
+         assignments)
   in
-  String.concat "." (fn_name :: parts)
+  let product = List.fold_left (fun n var -> n * List.length (values var)) 1 varying in
+  if List.length tuples = product then name
+  else name ^ "@" ^ String.concat "_" (List.map value_token tuples)
 
 let specialize_one (fn : Ir.fn) (assignment : (string * int) list) : Ir.fn =
   let clone = Ir.copy_fn fn in

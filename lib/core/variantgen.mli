@@ -65,7 +65,11 @@ val bind_switches : Mv_ir.Ir.fn -> (string * int) list -> unit
 
 (** Symbol name for a variant covering [assignments] of [switches]:
     per-variable value lists are concatenated ("B=01") when single-digit,
-    comma-joined otherwise. *)
+    comma-joined otherwise.  When the assignments are not the full
+    product of those lists, the sorted assignments, projected onto the
+    switches with more than one value, follow an ["@"], each as a value
+    list, separated by ["_"] ("f.A=01.B=01@00_11").  Distinct assignment
+    sets of one function therefore never share a name. *)
 val variant_symbol : string -> string list -> (string * int) list list -> string
 
 (** Structural hash of a function body: a hex digest of

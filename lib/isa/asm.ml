@@ -37,10 +37,13 @@ let pp_insn fmt (i : Insn.t) =
 let insn_to_string i = Format.asprintf "%a" pp_insn i
 
 (** Disassemble [len] bytes starting at [off]; pc-relative targets are
-    annotated with their absolute address. *)
-let disassemble ?(resolve = fun (_ : int) -> None) (b : Bytes.t) ~off ~len : string =
+    annotated with their absolute address.  [base] is the address of
+    byte 0 of [b]. *)
+let disassemble ?(resolve = fun (_ : int) -> None) ?(base = 0) (b : Bytes.t) ~off ~len :
+    string =
   let buf = Buffer.create 256 in
-  let emit pos i =
+  let emit at i =
+    let pos = base + at in
     let target =
       match i with
       | Insn.Call rel | Insn.Jmp rel -> Some (pos + 5 + rel)
@@ -65,10 +68,10 @@ let disassemble ?(resolve = fun (_ : int) -> None) (b : Bytes.t) ~off ~len : str
       | insn, size ->
           emit pos insn;
           go (pos + size)
-      | exception Decode.Decode_error _ ->
+      | exception (Decode.Decode_error _ | Invalid_argument _) ->
           Buffer.add_string buf
             (Printf.sprintf "%08x:  .byte 0x%02x  ; undecodable (patched-over residue)\n"
-               pos
+               (base + pos)
                (Char.code (Bytes.get b pos)))
   in
   go off;

@@ -1,5 +1,12 @@
-(** The process image: flat memory with per-page protection flags, the
-    symbol table, and the section map.
+(** The process image: demand-zero paged memory with per-page protection
+    flags, the symbol table, and the section map.
+
+    Memory is [mem_size] bytes in {!page_size} pages.  A page is allocated
+    on its first write; untouched pages read as zero and cost no host
+    memory beyond one page-table slot.  An access inside one page is O(1)
+    and allocates nothing; only page-straddling accesses take a slower,
+    copying path.  Either way the bytes observed are those of a flat,
+    zero-initialised memory.
 
     The text segment is mapped read+execute.  Any write to a protected page
     raises {!Segfault} — the multiverse runtime must open a window with
@@ -21,8 +28,13 @@ val page_size : int  (** 4096 *)
 
 type section_range = { sr_base : int; sr_size : int }
 
+(** The page table (abstract): read through {!read}, {!read_bytes},
+    {!sub} and {!decode}, write through {!write} and {!write_bytes}. *)
+type pages
+
 type t = {
-  mem : Bytes.t;
+  mem_size : int;  (** bytes of simulated memory; see {!size} *)
+  pages : pages;
   prot : protection array;  (** one entry per page *)
   symbols : (string, int) Hashtbl.t;
   symbol_sizes : (string, int) Hashtbl.t;
@@ -31,12 +43,30 @@ type t = {
   vtext : section_range;
       (** reserved, initially empty variant-text region the runtime may
           fill with materialized variant bodies after load; pages are
-          mapped r-x like the static text segment *)
+          mapped r-x like the static text segment.  Only lazy builds
+          reserve one: on an eager build [sr_size = 0] (its [sr_base] is
+          where the region would start) *)
   heap_base : int;  (** first page after all sections *)
   stack_base : int;  (** initial stack pointer (grows down) *)
 }
 
+(** [create ~mem_size ~sections ~text ~vtext ~heap_base ~stack_base] is an
+    all-zero image with no resident page, every page read+write, and
+    empty symbol tables.  The linker fills it in. *)
+val create :
+  mem_size:int ->
+  sections:(Objfile.section * section_range) list ->
+  text:section_range ->
+  vtext:section_range ->
+  heap_base:int ->
+  stack_base:int ->
+  t
+
+(** [mem_size]: the simulated memory size in bytes. *)
 val size : t -> int
+
+(** Pages that own host memory, i.e. have been written at least once. *)
+val resident_pages : t -> int
 
 (** {1 Protection-checked access} *)
 
@@ -48,6 +78,23 @@ val write : t -> int -> int -> int -> unit
 
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
+
+(** {1 Raw access for loaders}
+
+    These ignore page protection — they model a loader or debugger
+    reading the image, not the program — but still fault with
+    {!Segfault} outside memory. *)
+
+(** [sub t addr len] copies [len] bytes at [addr]. *)
+val sub : t -> int -> int -> bytes
+
+(** Decode the instruction at an address, with {!Mv_isa.Decode.decode}'s
+    results and errors (offsets in errors are absolute addresses). *)
+val decode : t -> int -> Mv_isa.Insn.t * int
+
+(** [decode_range t ~addr ~len] lists the instructions of a range as
+    [(address, instruction)] pairs. *)
+val decode_range : t -> addr:int -> len:int -> (int * Mv_isa.Insn.t) list
 
 (** Fail unless the range is executable. *)
 val check_exec : t -> int -> int -> unit

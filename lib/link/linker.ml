@@ -22,12 +22,11 @@ let section_align = function
   | Objfile.Mv_variables | Objfile.Mv_functions | Objfile.Mv_callsites
   | Objfile.Mv_framemaps -> 8
 
-(** Default capacity of the runtime-growable variant-text region. *)
+(** Default capacity of the variant-text region of a lazy build. *)
 let default_vtext_size = 1 lsl 19
 
 (** Link objects into a runnable image. *)
-let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
-    (objs : Objfile.t list) : Image.t =
+let link ?(mem_size = 1 lsl 22) ?(vtext_size = 0) (objs : Objfile.t list) : Image.t =
   if objs = [] then errf "no input objects";
   (* 1. place sections: all text first, then data, then descriptor sections,
         each segment starting on a page boundary *)
@@ -60,19 +59,22 @@ let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
     | Some b -> b
     | None -> errf "internal: unplaced section %s of %s" (Objfile.section_name sec) obj.o_name
   in
-  (* 2. copy section contents *)
-  let mem = Bytes.make mem_size '\000' in
+  let text_range = List.assoc Objfile.Text !section_ranges in
+  let img =
+    Image.create ~mem_size ~sections:(List.rev !section_ranges) ~text:text_range
+      ~vtext:{ Image.sr_base = vtext_base; sr_size = vtext_size }
+      ~heap_base:(align_up end_of_sections Image.page_size)
+      ~stack_base:(mem_size - 16)
+  in
+  (* 2. copy section contents (every page is still writable) *)
   List.iter
     (fun obj ->
       List.iter
-        (fun sec ->
-          let contents = Objfile.section_contents obj sec in
-          Bytes.blit contents 0 mem (base_of obj sec) (Bytes.length contents))
+        (fun sec -> Image.write_bytes img (base_of obj sec) (Objfile.section_contents obj sec))
         Objfile.all_sections)
     objs;
   (* 3. global symbol table *)
-  let symbols = Hashtbl.create 256 in
-  let symbol_sizes = Hashtbl.create 256 in
+  let symbols = img.Image.symbols and symbol_sizes = img.Image.symbol_sizes in
   List.iter
     (fun obj ->
       List.iter
@@ -95,47 +97,22 @@ let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
             | None -> errf "undefined symbol %s (referenced from %s)" r.r_sym obj.o_name
           in
           match r.r_kind with
-          | Objfile.Abs64 -> Bytes.set_int64_le mem p (Int64.of_int (s + r.r_addend))
+          | Objfile.Abs64 -> Image.write img p (s + r.r_addend) 8
           | Objfile.Abs32 ->
               let v = s + r.r_addend in
               if v < 0 || v > 0xFFFF_FFFF then errf "Abs32 overflow for %s" r.r_sym;
-              Bytes.set_int32_le mem p (Int32.of_int v)
+              Image.write img p v 4
           | Objfile.Rel32 ->
               let v = s + r.r_addend - p in
               if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
                 errf "Rel32 overflow for %s" r.r_sym;
-              Bytes.set_int32_le mem p (Int32.of_int v))
+              Image.write img p v 4)
         (Objfile.relocs obj))
     objs;
-  (* 5. page protections: text r-x, everything else rw- *)
-  let npages = (mem_size + Image.page_size - 1) / Image.page_size in
-  let prot = Array.make npages Image.prot_rw in
-  let text_range = List.assoc Objfile.Text !section_ranges in
-  let first = text_range.Image.sr_base / Image.page_size in
-  let last =
-    (text_range.Image.sr_base + max 0 (text_range.Image.sr_size - 1)) / Image.page_size
-  in
-  for page = first to last do
-    prot.(page) <- Image.prot_rx
-  done;
-  (* the variant-text region is executable from the start; the runtime
-     opens mprotect windows to write bodies into it, exactly like text *)
-  if vtext_size > 0 then begin
-    let first = vtext_base / Image.page_size in
-    let last = (vtext_base + vtext_size - 1) / Image.page_size in
-    for page = first to last do
-      prot.(page) <- Image.prot_rx
-    done
-  end;
-  let heap_base = align_up end_of_sections Image.page_size in
-  {
-    Image.mem;
-    prot;
-    symbols;
-    symbol_sizes;
-    sections = List.rev !section_ranges;
-    text = text_range;
-    vtext = { Image.sr_base = vtext_base; sr_size = vtext_size };
-    heap_base;
-    stack_base = mem_size - 16;
-  }
+  (* 5. page protections: text r-x, everything else rw-.  The variant-text
+     region is executable from the start; the runtime opens mprotect
+     windows to write bodies into it, exactly like text. *)
+  Image.mprotect img ~addr:text_range.Image.sr_base ~len:text_range.Image.sr_size
+    Image.prot_rx;
+  if vtext_size > 0 then Image.mprotect img ~addr:vtext_base ~len:vtext_size Image.prot_rx;
+  img

@@ -62,19 +62,25 @@ type t = {
   bp : Branch_pred.t;
   cost : Cost.t;
   platform : platform;
-  cache : (Insn.t * int) option array;
+  code_span : int;
+      (** bytes of executable code from the text base: the static text,
+          plus the variant-text region when the image reserves one *)
+  mutable cache : (Insn.t * int) option array;
       (** per-instruction decode cache, indexed by text offset — the
           reference stepper's ({!step_ref}) icache model.  The superblock
-          path keeps it coherent but does not read it. *)
+          path keeps it coherent but does not read it.  Covers a prefix
+          of [code_span]: empty until the first {!step_ref} fetch, then
+          grown on demand (see [extend_map]) *)
   blocks : (int, superblock) Hashtbl.t;
       (** pre-decoded superblocks keyed by entry text offset — the
           enumeration side (invalidation walks it); lookups go through
           [block_map] *)
-  block_map : superblock option array;
+  mutable block_map : superblock option array;
       (** direct-mapped dispatch index: [block_map.(off)] is the live
           superblock entered at text offset [off].  Same contents as
           [blocks]; exists so the block-transition hot path is an array
-          read instead of a hash lookup *)
+          read instead of a hash lookup.  Covers a prefix of
+          [code_span], starting at the static text's size *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;  (** index into [sb_cur] expected to execute next *)
@@ -131,10 +137,12 @@ let return_sentinel = 0
 
 let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
     ?(hart_id = 0) ?stack_base (image : Image.t) : t =
-  (* the decode caches span every executable byte: the static text plus —
+  (* the code span covers every executable byte: the static text plus —
      when the image reserves one — the variant-text region the lazy
      materializer writes into, so freshly materialized bodies fetch and
-     superblock-compile like any AOT code *)
+     superblock-compile like any AOT code.  The dispatch index starts at
+     the static text's size and the reference stepper's cache empty; both
+     grow toward the code span on their slow paths ([extend_map]) *)
   let code_span =
     let text = image.Image.text in
     let text_end = text.Image.sr_base + text.Image.sr_size in
@@ -143,7 +151,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
       if vt.Image.sr_size > 0 then max text_end (vt.Image.sr_base + vt.Image.sr_size)
       else text_end
     in
-    code_end - text.Image.sr_base
+    max 1 (code_end - text.Image.sr_base)
   in
   {
     image;
@@ -156,9 +164,10 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     bp = Branch_pred.create ();
     cost;
     platform;
-    cache = Array.make (max 1 code_span) None;
+    code_span;
+    cache = [||];
     blocks = Hashtbl.create 256;
-    block_map = Array.make (max 1 code_span) None;
+    block_map = Array.make (max 1 image.Image.text.Image.sr_size) None;
     sb_cur = None;
     sb_ix = 0;
     dstats = { ds_blocks = 0; ds_insns = 0; ds_invalidated = 0 };
@@ -246,8 +255,8 @@ let flush_icache t ~addr ~len =
   t.perf.Perf.icache_flushes <- t.perf.Perf.icache_flushes + 1;
   emit t (Mv_obs.Trace.Icache_flush { hart = t.hart_id; addr; len });
   let base = text_base t in
-  let lo = max 0 (addr - base - 15) and hi = min (Array.length t.cache) (addr - base + len) in
-  for i = lo to hi - 1 do
+  let lo = max 0 (addr - base - 15) and hi = min t.code_span (addr - base + len) in
+  for i = lo to min hi (Array.length t.cache) - 1 do
     t.cache.(i) <- None
   done;
   invalidate_blocks t ~lo ~hi
@@ -256,7 +265,7 @@ let flush_all_icache t =
   t.perf.Perf.icache_flushes <- t.perf.Perf.icache_flushes + 1;
   emit t (Mv_obs.Trace.Icache_flush { hart = t.hart_id; addr = 0; len = 0 });
   Array.fill t.cache 0 (Array.length t.cache) None;
-  invalidate_blocks t ~lo:0 ~hi:(Array.length t.cache)
+  invalidate_blocks t ~lo:0 ~hi:t.code_span
 
 (** Arm the code-heat counters.  Idempotent: counts already accumulated
     survive a second call.  Purely host-side — the dispatch slow path
@@ -295,16 +304,49 @@ let heat_blocks t : (int * int * int * int) list =
       done;
       !acc
 
+(* Fault unless text offset [off] is executable code. *)
+let check_code t pc off =
+  if off < 0 || off >= t.code_span then faultf "instruction fetch outside text at 0x%x" pc
+
+(* [a] extended to cover text offset [off < code_span]: at least doubled
+   and at least the static text, capped at the code span, so a lazy image
+   that materializes bodies across its variant-text region regrows
+   O(log) times.  Entries keep their offsets. *)
+let extend_map t a fill off =
+  let text = t.image.Image.text.Image.sr_size in
+  let n = min t.code_span (max (off + 1) (max text (2 * Array.length a))) in
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Grow the dispatch index, and the heat counters indexed like it, so live
+   blocks and accumulated heat survive. *)
+let grow_block_map t off =
+  let grow a fill = extend_map t a fill off in
+  t.block_map <- grow t.block_map None;
+  match t.heat with
+  | None -> ()
+  | Some h ->
+      t.heat <-
+        Some
+          {
+            hh_hits = grow h.hh_hits 0;
+            hh_insns = grow h.hh_insns 0;
+            hh_ends = grow h.hh_ends 0;
+          }
+
 let fetch t pc : Insn.t * int =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.cache then
-    faultf "instruction fetch outside text at 0x%x" pc;
+  if off < 0 || off >= Array.length t.cache then begin
+    check_code t pc off;
+    t.cache <- extend_map t t.cache None off
+  end;
   match t.cache.(off) with
   | Some entry -> entry
   | None ->
       Image.check_exec t.image pc 1;
       let entry =
-        try Mv_isa.Decode.decode t.image.Image.mem ~off:pc
+        try Image.decode t.image pc
         with Mv_isa.Decode.Decode_error (m, o) -> faultf "decode at 0x%x: %s" o m
       in
       t.cache.(off) <- Some entry;
@@ -596,10 +638,9 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
    error). *)
 let decode_strict t pc : Insn.t * int =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.cache then
-    faultf "instruction fetch outside text at 0x%x" pc;
+  check_code t pc off;
   Image.check_exec t.image pc 1;
-  try Mv_isa.Decode.decode t.image.Image.mem ~off:pc
+  try Image.decode t.image pc
   with Mv_isa.Decode.Decode_error (m, o) -> faultf "decode at 0x%x: %s" o m
 
 (* Build (and register) the superblock entered at [pc0].  The first
@@ -611,7 +652,7 @@ let decode_strict t pc : Insn.t * int =
 let build_block t pc0 : superblock =
   let c = t.cost in
   let insn0, size0 = decode_strict t pc0 in
-  let text_end = text_base t + Array.length t.cache in
+  let text_end = text_base t + t.code_span in
   let pcs = ref [] and ops = ref [] in
   let rec extend pc insn size n =
     pcs := pc :: !pcs;
@@ -647,8 +688,10 @@ let build_block t pc0 : superblock =
    blocks are keyed by entry offset only. *)
 let locate_slow t pc : superblock =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.block_map then
-    faultf "instruction fetch outside text at 0x%x" pc;
+  if off < 0 || off >= Array.length t.block_map then begin
+    check_code t pc off;
+    grow_block_map t off
+  end;
   let b =
     match Array.unsafe_get t.block_map off with
     | Some b -> b

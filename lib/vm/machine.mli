@@ -57,16 +57,22 @@ type t = {
   bp : Branch_pred.t;
   cost : Cost.t;
   platform : platform;
-  cache : (Insn.t * int) option array;
+  code_span : int;
+      (** bytes of executable code from the text base: the static text,
+          plus the variant-text region on a lazy image *)
+  mutable cache : (Insn.t * int) option array;
       (** per-instruction decode cache — the reference stepper's
           ({!step_ref}) icache model; the superblock path keeps it
-          coherent but does not read it *)
+          coherent but does not read it.  Empty until the first
+          {!step_ref} fetch; grows toward [code_span] on that slow path *)
   blocks : (int, superblock) Hashtbl.t;
       (** pre-decoded superblocks keyed by entry text offset (enumeration
           side; invalidation walks it) *)
-  block_map : superblock option array;
+  mutable block_map : superblock option array;
       (** direct-mapped dispatch index over text offsets — the hot-path
-          view of [blocks]: block transitions cost one array read *)
+          view of [blocks]: block transitions cost one array read.  Starts
+          at the static text's size and grows toward [code_span] (with the
+          heat counters) the first time dispatch reaches code beyond it *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;

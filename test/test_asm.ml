@@ -70,7 +70,7 @@ let test_disassemble_patched_function () =
   let listing =
     Asm.disassemble
       ~resolve:(fun a -> Mv_link.Image.symbol_at img a)
-      img.Mv_link.Image.mem ~off:f ~len:size
+      ~base:f (Mv_link.Image.sub img f size) ~off:0 ~len:size
   in
   check_bool "prologue is a jmp to the variant" true (contains listing "jmp");
   check_bool "variant symbol resolved" true (contains listing "<f.m=1>")

@@ -104,7 +104,7 @@ let test_callsite_record_fields () =
       let foo = Image.symbol img "foo" in
       let foo_size = Image.symbol_size img "foo" in
       check_bool "site inside foo" true (cs.cs_site >= foo && cs.cs_site < foo + foo_size);
-      let insn, _ = Mv_isa.Decode.decode img.Image.mem ~off:cs.cs_site in
+      let insn, _ = Image.decode img cs.cs_site in
       (match insn with
       | Mv_isa.Insn.Call rel ->
           check_int "call targets multi" (Image.symbol img "multi") (cs.cs_site + 5 + rel)

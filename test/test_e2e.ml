@@ -119,14 +119,14 @@ let test_revert_restores_text_bytes () =
   let s = session fig2_src in
   let img = s.program.Core.Compiler.p_image in
   let text = img.Image.text in
-  let before = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let before = Image.sub img text.Image.sr_base text.Image.sr_size in
   set_global s "A" 1;
   set_global s "B" 1;
   ignore (Runtime.commit s.runtime);
-  let during = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let during = Image.sub img text.Image.sr_base text.Image.sr_size in
   check_bool "commit changed the text segment" false (Bytes.equal before during);
   ignore (Runtime.revert s.runtime);
-  let after = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let after = Image.sub img text.Image.sr_base text.Image.sr_size in
   check_bool "revert restored the text segment byte-for-byte" true
     (Bytes.equal before after)
 
@@ -280,9 +280,9 @@ let test_commit_is_idempotent () =
   ignore (Runtime.commit s.runtime);
   let img = s.program.Core.Compiler.p_image in
   let text = img.Image.text in
-  let snap1 = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let snap1 = Image.sub img text.Image.sr_base text.Image.sr_size in
   ignore (Runtime.commit s.runtime);
-  let snap2 = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let snap2 = Image.sub img text.Image.sr_base text.Image.sr_size in
   check_bool "second commit is a no-op on the text" true (Bytes.equal snap1 snap2);
   check_int "still correct" 110 (run s "foo" [])
 

@@ -148,7 +148,7 @@ let test_body_patching_revert_restores_text () =
   let s = session fig2 in
   let img = s.program.Core.Compiler.p_image in
   let text = img.Image.text in
-  let snapshot () = Bytes.sub img.Image.mem text.Image.sr_base text.Image.sr_size in
+  let snapshot () = Image.sub img text.Image.sr_base text.Image.sr_size in
   Runtime.set_strategy s.runtime Runtime.Body_patching;
   let before = snapshot () in
   set_global s "a" 1;
@@ -226,8 +226,8 @@ let test_relocate_body_rebiasing () =
   Image.mprotect img ~addr:dst ~len Image.prot_rx;
   (* the machine only fetches inside the text segment, so execute the
      original and compare the relocated bytes structurally instead *)
-  let orig_listing = Mv_isa.Decode.decode_range img.Image.mem ~off:src_addr ~len in
-  let new_listing = Mv_isa.Decode.decode_range img.Image.mem ~off:dst ~len in
+  let orig_listing = Image.decode_range img ~addr:src_addr ~len in
+  let new_listing = Image.decode_range img ~addr:dst ~len in
   check_int "same instruction count" (List.length orig_listing) (List.length new_listing);
   List.iter2
     (fun (opos, oi) (npos, ni) ->

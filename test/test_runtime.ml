@@ -126,7 +126,7 @@ let test_fnptr_commit_and_retarget () =
   (* the site is now a direct call (or inlined body), not Call_ind *)
   let sites = Core.Descriptor.parse_callsites img in
   let site = (List.hd sites).Core.Descriptor.cs_site in
-  let insn, _ = Mv_isa.Decode.decode img.Image.mem ~off:site in
+  let insn, _ = Image.decode img site in
   check_bool "no longer indirect" true
     (match insn with Insn.Call_ind _ -> false | _ -> true);
   (* rebinding the pointer and re-committing retargets *)

@@ -130,7 +130,7 @@ let find_insn img fn pred =
   let rec scan off =
     if off >= size then Alcotest.fail "instruction not found in body"
     else
-      let insn, len = Mv_isa.Decode.decode img.mem ~off:(base + off) in
+      let insn, len = decode img (base + off) in
       if pred insn then (base + off, len) else scan (off + len)
   in
   scan 0
@@ -143,7 +143,7 @@ let patch_imm_insn s name ~from_imm ~to_imm =
       | _ -> false)
   in
   let patched =
-    match Mv_isa.Decode.decode img.Mv_link.Image.mem ~off:addr with
+    match Mv_link.Image.decode img addr with
     | Insn.Alu_ri (op, rd, ra, _), _ -> Insn.Alu_ri (op, rd, ra, to_imm)
     | _ -> assert false
   in
@@ -327,6 +327,127 @@ let test_parallel_fuzz_determinism () =
       let c1 = read_corpus d1 and c2 = read_corpus d2 in
       check_bool "merged corpus is byte-for-byte identical" true (c1 = c2))
 
+(* ------------------------------------------------------------------ *)
+(* Decode maps grow into the variant-text region                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [far] is copied to the last bytes of a lazy image's variant-text
+   region — the farthest a materialized body can land — so running it
+   forces every hart's decode maps, sized to the static text at creation,
+   to grow across the region.  Its body is one straight-line block, so
+   the map grows just past the block's entry and the block runs beyond
+   the map's end: a flush there must still find it. *)
+let far_src =
+  {|
+  int leaf(int x) { return x + 5; }
+  int far(int n) {
+    int s = n * 3;
+    s = s ^ 7;
+    s = s * 5;
+    s = s - 11;
+    return s + 1000;
+  }
+  int driver(int n) { return leaf(n) + leaf(n + 1); }
+|}
+
+(* Place a relocated copy of [far] at the end of vtext and register it as
+   [far_copy]; returns its address and size. *)
+let place_far_copy img patch =
+  let src = Image.symbol img "far" and len = Image.symbol_size img "far" in
+  let vt = img.Image.vtext in
+  let dst = vt.Image.sr_base + vt.Image.sr_size - ((len + 15) / 16 * 16) in
+  Core.Patch.write_text patch ~addr:dst (Core.Patch.relocate_body patch ~src ~len ~dst);
+  Image.add_symbol img "far_copy" ~addr:dst ~size:len;
+  (dst, len)
+
+(* Rewrite the copy's [+ 1000] to [+ 2000] through the patching path, so
+   the flush reaches every decode map that holds the block. *)
+let patch_far_copy img patch (dst, len) =
+  let addr, insn =
+    List.find
+      (fun (_, insn) ->
+        match insn with Insn.Alu_ri (Insn.Add, _, _, 1000) -> true | _ -> false)
+      (Image.decode_range img ~addr:dst ~len)
+  in
+  match insn with
+  | Insn.Alu_ri (op, rd, ra, _) ->
+      Core.Patch.write_text patch ~addr (Mv_isa.Encode.encode (Insn.Alu_ri (op, rd, ra, 2000)))
+  | _ -> assert false
+
+(* Heat only accumulates: every block entry counted before is still
+   there, with at least as many hits. *)
+let heat_kept ~before m =
+  let after = Machine.heat_blocks m in
+  List.for_all
+    (fun (lo, _, hits, _) -> List.exists (fun (lo', _, hits', _) -> lo' = lo && hits' >= hits) after)
+    before
+
+let test_maps_grow_into_vtext () =
+  let p = Core.Compiler.build_string ~lazy_variants:true far_src in
+  let img = p.Core.Compiler.p_image in
+  let m = Machine.create img in
+  Machine.enable_heat m;
+  let text = img.Image.text.Image.sr_size in
+  check_int "dispatch index starts at the static text" text (Array.length m.Machine.block_map);
+  check_int "reference cache starts empty" 0 (Array.length m.Machine.cache);
+  for n = 1 to 3 do
+    ignore (Machine.call m "driver" [ n ])
+  done;
+  let patch = Core.Patch.create img ~flush:(Machine.flush_icache m) in
+  let copy = place_far_copy img patch in
+  let want = Machine.call m "far" [ 6 ] in
+  let before = Machine.heat_blocks m in
+  check_int "far-end body executes" want (Machine.call m "far_copy" [ 6 ]);
+  check_bool "dispatch index grew to the far-end block" true
+    (Array.length m.Machine.block_map > fst copy - img.Image.text.Image.sr_base);
+  check_bool "static heat survives the growth" true (heat_kept ~before m);
+  check_bool "far-end block counted" true
+    (List.exists (fun (lo, _, hits, _) -> lo = fst copy && hits > 0) (Machine.heat_blocks m));
+  let invalidated = (Machine.decode_stats m).Machine.ds_invalidated in
+  patch_far_copy img patch copy;
+  check_bool "flush invalidated the far-end block" true
+    ((Machine.decode_stats m).Machine.ds_invalidated > invalidated);
+  check_int "re-decoded after the flush" (want + 1000) (Machine.call m "far_copy" [ 6 ]);
+  (* the reference stepper grows its own map the same way *)
+  Machine.start_call m "far_copy" [ 6 ];
+  check_int "reference stepper runs the far-end body" (want + 1000) (Machine.finish_ref m);
+  check_bool "reference cache grew to the far-end body" true
+    (Array.length m.Machine.cache > fst copy - img.Image.text.Image.sr_base)
+
+let test_maps_grow_into_vtext_smp () =
+  let p = Core.Compiler.build_string ~lazy_variants:true far_src in
+  let img = p.Core.Compiler.p_image in
+  let smp = Smp.create ~n_harts:2 img in
+  let harts = [ 0; 1 ] in
+  List.iter (fun h -> Machine.enable_heat (Smp.machine smp h)) harts;
+  let run hart name arg =
+    Smp.start_call smp ~hart name [ arg ];
+    Smp.run smp;
+    Smp.result smp ~hart
+  in
+  List.iter (fun h -> ignore (run h "driver" (h + 1))) harts;
+  let patch = Core.Patch.create img ~flush:(Smp.flush_icache smp) in
+  let copy = place_far_copy img patch in
+  let want = run 0 "far" 6 in
+  List.iter
+    (fun h ->
+      let m = Smp.machine smp h in
+      let before = Machine.heat_blocks m in
+      check_int "far-end body executes on every hart" want (run h "far_copy" 6);
+      check_bool "hart's dispatch index grew to the far-end block" true
+        (Array.length m.Machine.block_map > fst copy - img.Image.text.Image.sr_base);
+      check_bool "static heat survives on every hart" true (heat_kept ~before m))
+    harts;
+  let invalidated () =
+    List.map (fun h -> (Machine.decode_stats (Smp.machine smp h)).Machine.ds_invalidated) harts
+  in
+  let before = invalidated () in
+  patch_far_copy img patch copy;
+  List.iter2
+    (fun b a -> check_bool "flush reached every hart's grown map" true (a > b))
+    before (invalidated ());
+  List.iter (fun h -> check_int "every hart re-decodes" (want + 1000) (run h "far_copy" 6)) harts
+
 let suite =
   [
     tc "superblock vs reference: results, counters, trace" test_bit_identity_vs_reference;
@@ -336,4 +457,6 @@ let suite =
     tc "re-decode only after invalidation" test_redecode_only_after_invalidation;
     tc "back-to-back text_poke under the rendezvous" test_back_to_back_poke_under_rendezvous;
     tc_slow "parallel fuzzing is deterministic" test_parallel_fuzz_determinism;
+    tc "decode maps grow into vtext" test_maps_grow_into_vtext;
+    tc "decode maps grow into vtext on two harts" test_maps_grow_into_vtext_smp;
   ]

@@ -359,6 +359,82 @@ let test_hash_stable_across_runs () =
   let h0 = Vg.structural_hash (Vg.specialize_recipe recipe [ ("a", 0) ]).Vg.v_fn in
   check_bool "distinct valuations hash apart" true (h0 <> h1)
 
+(* ------------------------------------------------------------------ *)
+(* Variant symbol names                                                *)
+(* ------------------------------------------------------------------ *)
+
+let symbols_of (mf : Vg.mv_function) = List.map (fun (v : Vg.variant) -> v.v_symbol) mf.mf_variants
+
+let distinct names = List.length (List.sort_uniq compare names) = List.length names
+
+(* Two merges with the same per-switch value sets but different
+   assignments — {a=0,b=0 | a=1,b=1} and {a=0,b=1 | a=1,b=0} — used to
+   mangle to one name. *)
+let test_non_product_merges_get_distinct_symbols () =
+  let diag = [ [ ("a", 0); ("b", 0) ]; [ ("a", 1); ("b", 1) ] ] in
+  let anti = [ [ ("a", 0); ("b", 1) ]; [ ("a", 1); ("b", 0) ] ] in
+  check_string "diagonal" "f.a=01.b=01@00_11" (Vg.variant_symbol "f" [ "a"; "b" ] diag);
+  check_string "anti-diagonal" "f.a=01.b=01@01_10" (Vg.variant_symbol "f" [ "a"; "b" ] anti);
+  check_string "full product keeps the plain name" "f.a=01.b=0"
+    (Vg.variant_symbol "f" [ "a"; "b" ] [ [ ("a", 0); ("b", 0) ]; [ ("a", 1); ("b", 0) ] ])
+
+(* Fuzz case 101068 merged fn1's variants non-rectangularly, and the eager
+   build died with "duplicate symbol fn1.s0=3.s1=01.s2=01". *)
+let test_fuzz_case_101068_links () =
+  let case = Mv_fuzz.Gen.case 101068 in
+  let p = Core.Compiler.build_string case.Mv_fuzz.Gen.c_src in
+  let mf =
+    List.concat_map (fun (u : Core.Compiler.compiled_unit) -> u.cu_mv) p.Core.Compiler.p_units
+    |> List.find (fun (mf : Vg.mv_function) -> mf.mf_name = "fn1")
+  in
+  check_bool "fn1 has merged variants" true (List.length mf.mf_variants > 1);
+  check_bool "fn1's variant symbols are distinct" true (distinct (symbols_of mf));
+  List.iter
+    (fun oracle ->
+      match
+        Mv_fuzz.Oracle.run_named oracle case (Mv_fuzz.Driver.schedule_for case 0)
+      with
+      | None -> ()
+      | Some d -> Alcotest.failf "%a" Mv_fuzz.Oracle.pp_divergence d)
+    Mv_fuzz.Oracle.oracle_names
+
+(* Any partition of a small cross product into merge groups — the shape
+   structural merging produces — names every group differently. *)
+let prop_partition_symbols_distinct =
+  let gen =
+    QCheck.Gen.(
+      let* domains = list_size (int_range 1 3) (int_range 1 3) in
+      let domains =
+        List.mapi (fun i n -> (Printf.sprintf "s%d" i, List.init n (fun v -> v * 7))) domains
+      in
+      let size = Domain.cross_product_size domains in
+      let* groups = list_repeat size (int_bound 3) in
+      return (domains, groups))
+  in
+  QCheck.Test.make ~name:"variant symbols of a partition are pairwise distinct" ~count:300
+    (QCheck.make gen) (fun (domains, groups) ->
+      let assignments = Domain.cross_product domains in
+      let names = List.map fst domains in
+      let members g =
+        List.filteri (fun i _ -> List.nth groups i = g) assignments
+      in
+      let symbols =
+        List.filter_map
+          (fun g ->
+            match members g with [] -> None | m -> Some (Vg.variant_symbol "f" names m))
+          [ 0; 1; 2; 3 ]
+      in
+      distinct symbols)
+
+(* Every multiversed function of a generated program gets pairwise
+   distinct variant symbols. *)
+let prop_generated_symbols_distinct =
+  QCheck.Test.make ~name:"generated functions' variant symbols are pairwise distinct"
+    ~count:40 QCheck.(int_range 0 1_000_000) (fun seed ->
+      let case = Mv_fuzz.Gen.case seed in
+      let r = Vg.generate (lower case.Mv_fuzz.Gen.c_src) in
+      List.for_all (fun mf -> distinct (symbols_of mf)) r.Vg.r_functions)
+
 let suite =
   [
     tc "default domain {0,1}" test_default_domain;
@@ -386,4 +462,8 @@ let suite =
     tc "structural hash: single-instruction sensitivity"
       test_hash_sensitive_to_single_instruction;
     tc "structural hash: stable across runs" test_hash_stable_across_runs;
+    tc "non-product merges get distinct symbols" test_non_product_merges_get_distinct_symbols;
+    tc "fuzz case 101068 links and passes every oracle" test_fuzz_case_101068_links;
+    Test_props.to_alcotest prop_partition_symbols_distinct;
+    Test_props.to_alcotest prop_generated_symbols_distinct;
   ]
