@@ -58,7 +58,15 @@ val compile_unit :
     defaults to {!Mv_link.Linker.default_vtext_size} when some unit was
     compiled with [~lazy_variants:true] ([cu_lazy]) and to 0 otherwise,
     so an eager image reserves no variant-text region.  An explicit
-    [vtext_size] always wins. *)
+    [vtext_size] always wins.
+
+    Neither [link] nor {!Runtime.enable_lazy} (given the unit's
+    [cu_recipes]) mutates a [compiled_unit]: the image copies the
+    object's bytes, and materialization specializes clones of the recipe
+    bodies.  A unit may therefore be linked any number of times, each
+    time into a fresh image that owns its memory; writes, commits and
+    materializations in one image never show in another, and each link
+    is byte-identical to the first. *)
 val link : ?mem_size:int -> ?vtext_size:int -> compiled_unit list -> Mv_link.Image.t
 
 (** Compile and link a list of (unit name, source text) pairs;

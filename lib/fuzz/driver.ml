@@ -116,6 +116,9 @@ let run_parallel ?cfg ?chaos ?only ?corpus_dir ?(keep_going = false)
        divergence — like the single-domain early exit, but the first
        finding is whichever domain got there first on the host clock. *)
     let stop = Atomic.make false in
+    (* A worker that raises (a generator or oracle bug, not a divergence)
+       winds the campaign down and is re-raised once every domain has
+       joined, like the exception [run] lets through. *)
     let worker d () =
       let reports = ref [] in
       let tested = ref 0 in
@@ -138,12 +141,17 @@ let run_parallel ?cfg ?chaos ?only ?corpus_dir ?(keep_going = false)
            i := !i + domains
          done
        with exn ->
+         Atomic.set stop true;
          log_sync
-           (Printf.sprintf "domain %d died: %s" d (Printexc.to_string exn)));
+           (Printf.sprintf "domain %d died: %s" d (Printexc.to_string exn));
+         raise exn);
       (!tested, !reports)
     in
     let handles = List.init domains (fun d -> Domain.spawn (worker d)) in
-    let results = List.map Domain.join handles in
+    let results =
+      List.map (fun h -> match Domain.join h with r -> Ok r | exception e -> Error e) handles
+      |> List.map (function Ok r -> r | Error e -> raise e)
+    in
     let tested = List.fold_left (fun acc (n, _) -> acc + n) 0 results in
     let reports =
       List.concat_map snd results

@@ -48,7 +48,10 @@ val run :
     merged corpus is byte-for-byte what a single-domain run writes.
     [domains = 1] (the default CLI mode) is literally {!run}: same code
     path, same corpora, same log stream.  Reports are merged in seed
-    order; [log] may be called from any domain (serialized internally). *)
+    order; [log] may be called from any domain (serialized internally).
+    An exception in any worker stops the other stripes and is re-raised
+    once every domain has joined (the lowest domain's first), just as
+    {!run} lets it through. *)
 val run_parallel :
   ?cfg:Gen.cfg ->
   ?chaos:Oracle.chaos ->

@@ -1,4 +1,5 @@
 module Ast = Minic.Ast
+module Ir = Mv_ir.Ir
 module Interp = Mv_ir.Interp
 module Lower = Mv_ir.Lower
 module Machine = Mv_vm.Machine
@@ -126,11 +127,38 @@ let apply_interp it (a : Gen.assignment) =
       Interp.store it (Interp.global_addr it name) (Interp.symbol_addr it target) 8)
     a.Gen.a_ptrs
 
+(* Every oracle of a case builds the case's source, most of them more
+   than once, and [oracle_names] runs each source's builds back to back:
+   the case alone (interp-vs-vm, commit-soundness, commit-idempotent,
+   schedule-equiv), then with the OSR, SMP and lazy auxiliaries.  So the
+   last compiled unit is kept, per domain, keyed on (source, lazy), and a
+   hit only links.  Linking never mutates a unit, so every build still
+   gets a fresh image of its own, byte-identical to a full
+   [Compiler.build_string]. *)
+let last_unit : (string * bool * Compiler.compiled_unit) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let build ?(lazy_variants = false) src : Compiler.program =
+  let slot = Domain.DLS.get last_unit in
+  let cu =
+    match !slot with
+    | Some (s, l, cu) when l = lazy_variants && String.equal s src -> cu
+    | _ ->
+        (* drop the old unit first, so it is garbage while this one compiles *)
+        slot := None;
+        let cu =
+          Compiler.compile_unit ~lazy_variants { Compiler.u_name = "main"; u_source = src }
+        in
+        slot := Some (src, lazy_variants, cu);
+        cu
+  in
+  { Compiler.p_image = Compiler.link [ cu ]; p_units = [ cu ] }
+
 (* A machine + runtime pair with optional fault injection in the flush
    path (the chaos modes exist so the fuzzer can prove it would catch a
    pipeline that forgets to invalidate the decode cache). *)
 let build_session ?(chaos = No_chaos) src =
-  let program = Compiler.build_string src in
+  let program = build src in
   let machine = Machine.create program.Compiler.p_image in
   let lost = ref false in
   let flush ~addr ~len =
@@ -167,16 +195,15 @@ let diff_text ~pristine img =
     Some (Printf.sprintf "text differs from pristine at offset +0x%x" (first 0))
   end
 
-let make_interp src =
-  let prog, _warnings = Lower.lower_string src in
-  Interp.create ~step_limit:interp_step_limit [ prog ]
+let lower src = fst (Lower.lower_string src)
+let make_interp prog = Interp.create ~step_limit:interp_step_limit [ prog ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: reference interpreter vs full-pipeline machine              *)
 (* ------------------------------------------------------------------ *)
 
 let interp_vs_vm (case : Gen.case) (_sched : Schedule.t) : divergence option =
-  let it = make_interp case.Gen.c_src in
+  let it = make_interp (lower case.Gen.c_src) in
   let _program, machine, _rt = build_session case.Gen.c_src in
   let img = _program.Compiler.p_image in
   let obs = observables case in
@@ -218,11 +245,14 @@ let interp_vs_vm (case : Gen.case) (_sched : Schedule.t) : divergence option =
 (* ------------------------------------------------------------------ *)
 
 let opt_vs_unopt (case : Gen.case) (_sched : Schedule.t) : divergence option =
-  let plain = make_interp case.Gen.c_src in
+  (* lower once; the optimizer rewrites clones of the functions, so the
+     unoptimized interpreter keeps the original bodies *)
+  let prog = lower case.Gen.c_src in
+  let plain = make_interp prog in
   let opt =
-    let prog, _warnings = Lower.lower_string case.Gen.c_src in
+    let prog = { prog with Ir.p_fns = List.map Ir.copy_fn prog.Ir.p_fns } in
     Mv_opt.Pass.optimize_prog prog;
-    Interp.create ~step_limit:interp_step_limit [ prog ]
+    make_interp prog
   in
   let obs = observables case in
   let fail fmt = Printf.ksprintf (fun d -> Some { d_oracle = "opt-vs-unopt"; d_detail = d }) fmt in
@@ -501,7 +531,7 @@ type smp_summary = {
    though with the text writer installed most invalidation traffic goes
    through [Smp.text_poke] and is exercised by the plain oracles. *)
 let build_smp_session ?(chaos = No_chaos) ~n_harts ~policy ~seed src =
-  let program = Compiler.build_string src in
+  let program = build src in
   let image = program.Compiler.p_image in
   let smp = Smp.create ~policy ~seed ~n_harts image in
   let lost = ref false in
@@ -780,7 +810,7 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
     (out, read_obs_machine img obs, Image.read img (Image.symbol img "__osr_sink") 8)
   in
   let run_subject k =
-    let program = Compiler.build_string src in
+    let program = build src in
     let img = program.Compiler.p_image in
     let machine = Machine.create img in
     let lost = ref false in
@@ -895,7 +925,7 @@ let lazy_probe_iters = 6
    subject like everywhere else; [Stale_cache] additionally makes
    eviction skip the dedup-table invalidation. *)
 let build_lazy_session ?(chaos = No_chaos) src =
-  let program = Compiler.build_string ~lazy_variants:true src in
+  let program = build ~lazy_variants:true src in
   let machine = Machine.create program.Compiler.p_image in
   let lost = ref false in
   let flush ~addr ~len =

@@ -9,7 +9,14 @@
 
     Observable state excludes pointer-typed globals (their values are
     layout-dependent) and [__rdtsc] never occurs in generated programs, so
-    any divergence is a genuine bug in the pipeline under test. *)
+    any divergence is a genuine bug in the pipeline under test.
+
+    Each domain remembers the last unit it compiled, keyed on the source
+    text and whether variants are lazy, and a build of the same pair only
+    links it again.  {!oracle_names} runs each source's builds back to
+    back, so one entry turns a case's fourteen compiles into five.
+    Every build still links a fresh image, machine and runtime of its
+    own, so chaos injected into one build never reaches another. *)
 
 (** Fault injection for validating the oracles themselves: [Skip_flush]
     drops the runtime's icache flushes entirely, [Lost_flush] drops every

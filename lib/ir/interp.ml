@@ -36,8 +36,18 @@ let layout_globals ?(base = 0x10000) (globals : Ir.global list) : layout =
     globals;
   { l_addr = tbl; l_end = !cursor }
 
+(* Memory is demand-zero, like the linked image's: a page table whose
+   entries all start as one shared zero page that is only ever read.  The
+   first store to a page gives it private bytes, so an interpreter holds
+   host memory in proportion to the pages its globals, heap and stack
+   touch, not to its [mem_size]. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
 type t = {
-  mem : Bytes.t;
+  mem_size : int;
+  pages : Bytes.t array;
   globals : (string, Ir.global * int) Hashtbl.t;  (** name -> (info, address) *)
   fns : (string, Ir.fn) Hashtbl.t;
   fn_addr : (string, int) Hashtbl.t;
@@ -52,6 +62,81 @@ type t = {
 
 let fn_addr_base = 0x1000
 
+let zero_page = Bytes.make page_size '\000'
+
+(* The page's private bytes, allocating them on the first store. *)
+let own_page t page =
+  let pg = Array.unsafe_get t.pages page in
+  if pg != zero_page then pg
+  else begin
+    let pg = Bytes.make page_size '\000' in
+    t.pages.(page) <- pg;
+    pg
+  end
+
+let load_oob addr = raise (Fault (Printf.sprintf "load out of bounds: 0x%x" addr))
+let store_oob addr = raise (Fault (Printf.sprintf "store out of bounds: 0x%x" addr))
+let bad_load_width w = raise (Fault (Printf.sprintf "bad load width %d" w))
+let bad_store_width w = raise (Fault (Printf.sprintf "bad store width %d" w))
+
+let in_bounds t addr width = addr >= 0 && addr + width <= t.mem_size
+
+(* Does an in-bounds [addr, addr+width) lie inside a single page? *)
+let one_page addr width = (addr land page_mask) + width <= page_size
+
+let byte_at t a =
+  Char.code (Bytes.unsafe_get (Array.unsafe_get t.pages (a lsr page_bits)) (a land page_mask))
+
+(* Page-straddling accesses, assembled byte by byte (little-endian).  An
+   8-byte value keeps the low 63 bits, exactly like [Int64.to_int]. *)
+let load_straddling t addr width =
+  let v = ref 0 in
+  for i = width - 1 downto 0 do
+    v := (!v lsl 8) lor byte_at t (addr + i)
+  done;
+  !v
+
+let store_straddling t addr v width =
+  for i = 0 to width - 1 do
+    let a = addr + i in
+    Bytes.unsafe_set
+      (own_page t (a lsr page_bits))
+      (a land page_mask)
+      (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
+  done
+
+let load t addr width =
+  if not (in_bounds t addr width) then load_oob addr
+  else if one_page addr width then begin
+    let pg = Array.unsafe_get t.pages (addr lsr page_bits) and off = addr land page_mask in
+    match width with
+    | 1 -> Char.code (Bytes.get pg off)
+    | 2 -> Bytes.get_uint16_le pg off
+    | 4 -> Int32.to_int (Bytes.get_int32_le pg off) land 0xFFFFFFFF
+    | 8 -> Int64.to_int (Bytes.get_int64_le pg off)
+    | w -> bad_load_width w
+  end
+  else
+    match width with
+    | 2 | 4 | 8 -> load_straddling t addr width
+    | w -> bad_load_width w
+
+let store t addr v width =
+  if not (in_bounds t addr width) then store_oob addr
+  else if one_page addr width then begin
+    let page = addr lsr page_bits and off = addr land page_mask in
+    match width with
+    | 1 -> Bytes.set (own_page t page) off (Char.unsafe_chr (v land 0xFF))
+    | 2 -> Bytes.set_uint16_le (own_page t page) off (v land 0xFFFF)
+    | 4 -> Bytes.set_int32_le (own_page t page) off (Int32.of_int v)
+    | 8 -> Bytes.set_int64_le (own_page t page) off (Int64.of_int v)
+    | w -> bad_store_width w
+  end
+  else
+    match width with
+    | 2 | 4 | 8 -> store_straddling t addr v width
+    | w -> bad_store_width w
+
 (** Build an interpreter for a set of translation units.  Extern references
     must be resolved by a definition in some unit. *)
 let create ?(mem_size = 1 lsl 21) ?(step_limit = 100_000_000) (progs : Ir.prog list) : t =
@@ -62,7 +147,8 @@ let create ?(mem_size = 1 lsl 21) ?(step_limit = 100_000_000) (progs : Ir.prog l
   let layout = layout_globals all_globals in
   let t =
     {
-      mem = Bytes.make mem_size '\000';
+      mem_size;
+      pages = Array.make ((mem_size + page_mask) lsr page_bits) zero_page;
       globals = Hashtbl.create 64;
       fns = Hashtbl.create 64;
       fn_addr = Hashtbl.create 64;
@@ -105,7 +191,7 @@ let create ?(mem_size = 1 lsl 21) ?(step_limit = 100_000_000) (progs : Ir.prog l
     (fun (g : Ir.global) ->
       let _, addr = Hashtbl.find t.globals g.gl_name in
       (match g.gl_init with
-      | Some v -> Bytes.set_int64_le t.mem addr (Int64.of_int v)
+      | Some v -> store t addr v 8
       | None -> ());
       match g.gl_fn_init with
       | Some f ->
@@ -114,30 +200,10 @@ let create ?(mem_size = 1 lsl 21) ?(step_limit = 100_000_000) (progs : Ir.prog l
             | Some a -> a
             | None -> raise (Fault (Printf.sprintf "fnptr init: unknown function %s" f))
           in
-          Bytes.set_int64_le t.mem addr (Int64.of_int faddr)
+          store t addr faddr 8
       | None -> ())
     all_globals;
   t
-
-let load t addr width =
-  if addr < 0 || addr + width > Bytes.length t.mem then
-    raise (Fault (Printf.sprintf "load out of bounds: 0x%x" addr));
-  match width with
-  | 1 -> Char.code (Bytes.get t.mem addr)
-  | 2 -> Bytes.get_uint16_le t.mem addr
-  | 4 -> Int32.to_int (Bytes.get_int32_le t.mem addr) land 0xFFFFFFFF
-  | 8 -> Int64.to_int (Bytes.get_int64_le t.mem addr)
-  | w -> raise (Fault (Printf.sprintf "bad load width %d" w))
-
-let store t addr v width =
-  if addr < 0 || addr + width > Bytes.length t.mem then
-    raise (Fault (Printf.sprintf "store out of bounds: 0x%x" addr));
-  match width with
-  | 1 -> Bytes.set t.mem addr (Char.chr (v land 0xFF))
-  | 2 -> Bytes.set_uint16_le t.mem addr (v land 0xFFFF)
-  | 4 -> Bytes.set_int32_le t.mem addr (Int32.of_int v)
-  | 8 -> Bytes.set_int64_le t.mem addr (Int64.of_int v)
-  | w -> raise (Fault (Printf.sprintf "bad store width %d" w))
 
 let global_addr t name =
   match Hashtbl.find_opt t.globals name with

@@ -20,8 +20,15 @@ type layout = { l_addr : (string, int) Hashtbl.t; l_end : int }
     linker's layout rules). *)
 val layout_globals : ?base:int -> Ir.global list -> layout
 
+(** Memory is [mem_size] bytes of demand-zero pages: every entry of
+    [pages] starts as one shared, read-only zero page, and the first
+    {!store} to a page gives it private bytes.  Untouched memory reads as
+    zero and costs one pointer per page, so an interpreter holds host
+    memory only for the pages its globals, heap and stack touch.  Go
+    through {!load} and {!store}; never write [pages] directly. *)
 type t = {
-  mem : Bytes.t;
+  mem_size : int;
+  pages : Bytes.t array;  (** [page_size]-byte pages, shared until written *)
   globals : (string, Ir.global * int) Hashtbl.t;
   fns : (string, Ir.fn) Hashtbl.t;
   fn_addr : (string, int) Hashtbl.t;
@@ -36,11 +43,22 @@ type t = {
 
 val fn_addr_base : int
 
+(** Bytes per memory page (4096). *)
+val page_size : int
+
 (** Build an interpreter for a set of translation units; extern references
     must resolve to a definition in some unit.  Globals are initialized. *)
 val create : ?mem_size:int -> ?step_limit:int -> Ir.prog list -> t
 
+(** [load t addr width] reads a little-endian value of [width] bytes (1,
+    2, 4 or 8; sub-word values zero-extended); [store t addr v width]
+    writes the low [width] bytes of [v].  Accesses inside one page take an
+    allocation-free path; page-straddling ones are assembled byte by
+    byte.  Both raise [Fault "load out of bounds: 0x.."] (resp. [store])
+    outside [\[0, mem_size)] and [Fault "bad load width n"] (resp.
+    [store]) for any other width. *)
 val load : t -> int -> int -> int
+
 val store : t -> int -> int -> int -> unit
 val global_addr : t -> string -> int
 

@@ -17,12 +17,16 @@ dune runtest
 # MV_SMP_ARTIFACT_DIR (uploaded by CI with the reproducers), so the
 # materialization/eviction state behind the diverging cache can be
 # inspected with `mvtrace heat`'s JSON offline.
+# The elapsed time is printed so the log shows the end-to-end wait of a
+# campaign, the host cost ROADMAP tracks.
 fuzz_status=0
 fuzz_log=$(mktemp /tmp/mv-fuzz-XXXXXX.log)
+fuzz_start=$(date +%s)
 dune exec bin/mvfuzz.exe -- --iters 500 --seed 1 --quiet \
   ${MVFUZZ_CORPUS:+--corpus "$MVFUZZ_CORPUS"} > "$fuzz_log" 2>&1 \
   || fuzz_status=$?
 cat "$fuzz_log"
+echo "fuzz smoke: 500 cases in $(( $(date +%s) - fuzz_start )) s"
 if [ "$fuzz_status" -ne 0 ]; then
   if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ] \
       && grep -q "lazy-eager-equiv" "$fuzz_log"; then
@@ -165,6 +169,14 @@ run_striped_campaign 1 "$corpus_1dom"
 run_striped_campaign 2 "$corpus_ndom"
 diff -r "$corpus_1dom" "$corpus_ndom" > /dev/null \
   || { echo "mvfuzz: 2-domain corpus differs from the single-domain corpus"; exit 1; }
+# ...and a clean 2-domain campaign must exit 0 having tested every case,
+# so a worker that dies (an exception, not a divergence) fails the run
+# instead of silently shrinking the campaign.
+clean_ndom=$(dune exec bin/mvfuzz.exe -- --iters 20 --seed 1 --small \
+  --domains 2 2>&1) \
+  || { echo "$clean_ndom"; echo "mvfuzz --domains 2: clean campaign failed"; exit 1; }
+echo "$clean_ndom" | grep -q "^mvfuzz: 20 case(s), no divergence" \
+  || { echo "$clean_ndom"; echo "mvfuzz --domains 2: not every case was tested"; exit 1; }
 
 # Flight-recorder smoke (must-fail): a guest that divides by zero must
 # make the run exit non-zero AND leave a mv-flight/1 dump that

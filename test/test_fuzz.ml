@@ -363,6 +363,122 @@ let test_pending_drained_exactly_once () =
   (* the property is vacuous unless some schedule actually drains *)
   check_bool "at least one pending set drained across the sweep" true (!total > 0)
 
+(* ------------------------------------------------------------------ *)
+(* One compiled unit, many builds                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracles link each distinct (source, lazy) pair from one compiled
+   unit: these tests pin the contract that makes one compile
+   observably equal to one per build. *)
+
+module Compiler = Core.Compiler
+module Objfile = Mv_codegen.Objfile
+
+let memo_src =
+  {|
+    multiverse int mode;
+    int acc;
+    multiverse int spin(int n) {
+      int s = 0;
+      for (int i = 0; i < n; i = i + 1) {
+        if (mode) { s = s + 2; } else { s = s + 1; }
+      }
+      acc = acc + s;
+      return s;
+    }
+  |}
+
+let compile ?lazy_variants src =
+  Compiler.compile_unit ?lazy_variants { Compiler.u_name = "main"; u_source = src }
+
+let section_bytes img sec =
+  match Image.section_range img sec with
+  | None -> Bytes.empty
+  | Some r -> Image.read_bytes img r.Image.sr_base r.Image.sr_size
+
+let sections img = List.map (section_bytes img) Objfile.all_sections
+
+let vtext_bytes img =
+  let v = img.Image.vtext in
+  Image.read_bytes img v.Image.sr_base v.Image.sr_size
+
+let session_of img =
+  let m = Machine.create img in
+  (m, Runtime.create img ~flush:(fun ~addr ~len -> Machine.flush_icache m ~addr ~len))
+
+let test_link_twice_is_independent () =
+  let cu = compile memo_src in
+  let a = Compiler.link [ cu ] and b = Compiler.link [ cu ] in
+  List.iter
+    (fun sec ->
+      check_bool
+        (Objfile.section_name sec ^ " is byte-identical across links")
+        true
+        (Bytes.equal (section_bytes a sec) (section_bytes b sec)))
+    Objfile.all_sections;
+  let b0 = sections b in
+  (* a data write, a commit (text patch) and a frame-map corruption, all
+     in [a] *)
+  Image.write a (Image.symbol a "acc") 99 8;
+  Image.write a (Image.symbol a "mode") 1 8;
+  let _m, rt = session_of a in
+  check_bool "the commit patched something" true (Runtime.commit rt > 0);
+  (match Image.section_range a Objfile.Mv_framemaps with
+  | Some r when r.Image.sr_size > 0 ->
+      Image.write_bytes a r.Image.sr_base (Bytes.make r.Image.sr_size '\xff')
+  | _ -> Alcotest.fail "the unit has no frame maps to corrupt");
+  check_bool "the commit changed a's text" false
+    (Bytes.equal (section_bytes a Objfile.Text) (section_bytes b Objfile.Text));
+  check_bool "b is untouched by a's writes, commit and corruption" true
+    (sections b = b0);
+  check_bool "a third link of the unit matches the first" true
+    (sections (Compiler.link [ cu ]) = b0)
+
+let test_lazy_link_twice_is_independent () =
+  let cu = compile ~lazy_variants:true memo_src in
+  let a = Compiler.link [ cu ] and b = Compiler.link [ cu ] in
+  let b0 = vtext_bytes b in
+  let m, rt = session_of a in
+  Runtime.enable_lazy rt ~recipes:cu.Compiler.cu_recipes ~call_pad:cu.Compiler.cu_call_pad;
+  Image.write a (Image.symbol a "mode") 1 8;
+  ignore (Runtime.commit rt);
+  check_int "a materialized the variant" 1 (Runtime.stats rt).Runtime.st_materialized;
+  check_int "a runs the bound variant" 8 (Machine.call m "spin" [ 4 ]);
+  check_bool "b's variant-text region is untouched" true (Bytes.equal b0 (vtext_bytes b));
+  check_bool "materializing left the unit's recipes as compiled" true
+    (cu.Compiler.cu_recipes = (compile ~lazy_variants:true memo_src).Compiler.cu_recipes)
+
+(* Chaos lives in the images and runtimes the oracles build, never in
+   the remembered unit: after the OSR and lazy oracles diverge under
+   their chaos modes, the same case is clean under every oracle. *)
+let test_chaos_does_not_poison_the_memo () =
+  let caught = ref 0 in
+  List.iter
+    (fun seed ->
+      let case = Gen.case ~cfg:Gen.small_cfg seed in
+      let sched = Driver.schedule_for case seed in
+      List.iter
+        (fun (chaos, oracle) ->
+          if Oracle.run_named ~chaos oracle case sched <> None then incr caught)
+        [ (Oracle.Corrupt_framemap, "osr-state-equiv"); (Oracle.Stale_cache, "lazy-eager-equiv") ];
+      match Oracle.run_all case sched with
+      | None -> ()
+      | Some d -> Alcotest.failf "seed %d after chaos: %a" seed Oracle.pp_divergence d)
+    [ 1; 2; 3 ];
+  check_bool "the chaos runs diverged" true (!caught > 0)
+
+(* A worker exception must fail the campaign in every mode: an inverted
+   size range makes [Gen.case] raise on the first case. *)
+let test_parallel_worker_exception_propagates () =
+  let cfg = { Gen.small_cfg with Gen.n_helpers = (3, 1) } in
+  let outcome f = match f () with _ -> None | exception e -> Some e in
+  let single = outcome (fun () -> Driver.run ~cfg ~seed:1 ~iters:4 ()) in
+  let parallel =
+    outcome (fun () -> Driver.run_parallel ~cfg ~domains:2 ~seed:1 ~iters:4 ())
+  in
+  check_bool "single-domain run raises" true (single <> None);
+  check_bool "2-domain run raises the same exception" true (parallel = single)
+
 let suite =
   [
     tc "generator is deterministic" test_generator_deterministic;
@@ -377,4 +493,10 @@ let suite =
     tc "check_corpus passes on a clean entry" test_corpus_check_clean;
     tc_slow "Pending_drained fires exactly once per drained set"
       test_pending_drained_exactly_once;
+    tc "linking one unit twice gives independent images" test_link_twice_is_independent;
+    tc "lazy unit links twice, materializes in one image only"
+      test_lazy_link_twice_is_independent;
+    tc "chaos never poisons the compiled-unit memo" test_chaos_does_not_poison_the_memo;
+    tc "a dying worker fails run_parallel like run"
+      test_parallel_worker_exception_propagates;
   ]

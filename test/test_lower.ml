@@ -164,6 +164,69 @@ let test_step_limit () =
   | _ -> Alcotest.fail "expected the step limit to trip"
 
 (* ------------------------------------------------------------------ *)
+(* Interpreter memory                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let expect_fault_msg name expected f =
+  match f () with
+  | exception Interp.Fault m -> check_string name expected m
+  | _ -> Alcotest.failf "%s: expected Fault %S" name expected
+
+let test_memory_faults () =
+  let t = Interp.create [ lower "int g;" ] in
+  let size = t.Interp.mem_size in
+  expect_fault_msg "negative load"
+    (Printf.sprintf "load out of bounds: 0x%x" (-8))
+    (fun () -> Interp.load t (-8) 8);
+  expect_fault_msg "load past the end"
+    (Printf.sprintf "load out of bounds: 0x%x" (size - 4))
+    (fun () -> Interp.load t (size - 4) 8);
+  expect_fault_msg "store past the end"
+    (Printf.sprintf "store out of bounds: 0x%x" size)
+    (fun () -> Interp.store t size 1 1);
+  expect_fault_msg "bad load width" "bad load width 3" (fun () -> Interp.load t 0x100 3);
+  expect_fault_msg "bad store width" "bad store width 16" (fun () -> Interp.store t 0x100 0 16);
+  expect_fault_msg "bad straddling width" "bad load width 3"
+    (fun () -> Interp.load t (Interp.page_size - 1) 3);
+  (* out of bounds wins over a bad width, as before *)
+  expect_fault_msg "bad width out of bounds"
+    (Printf.sprintf "store out of bounds: 0x%x" (-1))
+    (fun () -> Interp.store t (-1) 0 3)
+
+let test_memory_demand_zero () =
+  let t =
+    Interp.create [ lower "void h() { } int a = 5; uint8 b = 7; int arr[3]; int z; fnptr fp = &h;" ]
+  in
+  check_int "initialized int" 5 (Interp.read_global t "a");
+  check_int "initialized uint8" 7 (Interp.read_global t "b");
+  check_int "array reads zero" 0 (Interp.load t (Interp.global_addr t "arr" + 16) 8);
+  check_int "uninitialized global reads zero" 0 (Interp.read_global t "z");
+  check_int "fnptr points at its function" (Interp.symbol_addr t "h") (Interp.read_global t "fp");
+  List.iter
+    (fun a -> check_int (Printf.sprintf "untouched 0x%x reads zero" a) 0 (Interp.load t a 8))
+    [ 0; t.Interp.heap_base; t.Interp.stack_base; t.Interp.mem_size - 8 ];
+  (* a straddling store round-trips and touches only its two pages *)
+  let a = (5 * Interp.page_size) - 3 in
+  Interp.store t a (-2) 8;
+  check_int "straddling load" (-2) (Interp.load t a 8);
+  check_int "next page holds the high bytes" 0xFFFFFF (Interp.load t (a + 5) 4 land 0xFFFFFF);
+  check_int "the page after reads zero" 0 (Interp.load t (6 * Interp.page_size) 8)
+
+(* Memory costs host words only where it is touched: creating an
+   interpreter for a small program allocates far less than its 2 MiB. *)
+let test_memory_create_is_cheap () =
+  let prog = lower "int a = 5; int arr[64]; int f(int n) { arr[n] = n; return a + n; }" in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let t = Interp.create [ prog ] in
+  let w = words () -. w0 in
+  check_bool (Printf.sprintf "Interp.create allocated %.0f words (< 20000)" w) true (w < 20_000.);
+  check_int "and the program still runs" 12 (Interp.run t "f" [ 7 ])
+
+(* ------------------------------------------------------------------ *)
 (* IR structure                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -216,6 +279,9 @@ let suite =
     tc "intrinsics" test_intrinsics;
     tc "runtime faults" test_faults;
     tc "step limit" test_step_limit;
+    tc "memory faults keep their messages" test_memory_faults;
+    tc "memory is demand-zero" test_memory_demand_zero;
+    tc "creating an interpreter is cheap" test_memory_create_is_cheap;
     tc "switch reads lower to Iloadg" test_switch_reads_are_loadg;
     tc "multiverse flags propagate" test_multiverse_flags_propagate;
     tc "extern multiverse flag" test_extern_mv_flag;

@@ -294,6 +294,121 @@ let prop_truncate =
       && Mv_ir.Interp.truncate ~width ~signed:true s = s
       && u land ((1 lsl bits) - 1) = v land ((1 lsl bits) - 1))
 
+(* ------------------------------------------------------------------ *)
+(* Compilation is a pure function of the source                        *)
+(* ------------------------------------------------------------------ *)
+
+module Compiler = Core.Compiler
+module Objfile = Mv_codegen.Objfile
+
+(** The fuzz oracles compile each distinct source once and link the unit
+    for every build; that is unobservable only if two compiles of one
+    source give identical objects — every section's bytes, the symbols
+    and the relocations — eager and lazy, small and default sizes. *)
+let prop_compile_deterministic =
+  let arb =
+    QCheck.make
+      ~print:(fun (small, lazy_variants, seed) ->
+        Printf.sprintf "seed %d (%s cfg, lazy=%b)" seed
+          (if small then "small" else "default")
+          lazy_variants)
+      QCheck.Gen.(triple bool bool (int_range 0 1_000_000))
+  in
+  QCheck.Test.make ~name:"compile_unit is deterministic per source" ~count:12 arb
+    (fun (small, lazy_variants, seed) ->
+      let cfg = if small then Gen.small_cfg else Gen.default_cfg in
+      let src = (Gen.case ~cfg seed).Gen.c_src in
+      let compile () =
+        Compiler.compile_unit ~lazy_variants { Compiler.u_name = "main"; u_source = src }
+      in
+      let a = compile () and b = compile () in
+      let oa = a.Compiler.cu_obj and ob = b.Compiler.cu_obj in
+      List.for_all
+        (fun sec ->
+          Bytes.equal (Objfile.section_contents oa sec) (Objfile.section_contents ob sec))
+        Objfile.all_sections
+      && Objfile.symbols oa = Objfile.symbols ob
+      && Objfile.relocs oa = Objfile.relocs ob
+      && a.Compiler.cu_recipes = b.Compiler.cu_recipes
+      && a.Compiler.cu_warnings = b.Compiler.cu_warnings)
+
+(* ------------------------------------------------------------------ *)
+(* Reference-interpreter memory                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Interp = Mv_ir.Interp
+
+(* The flat-memory interpreter this replaced, verbatim: the reference the
+   paged memory must match, faults and their messages included. *)
+let flat_load mem addr width =
+  if addr < 0 || addr + width > Bytes.length mem then
+    raise (Interp.Fault (Printf.sprintf "load out of bounds: 0x%x" addr));
+  match width with
+  | 1 -> Char.code (Bytes.get mem addr)
+  | 2 -> Bytes.get_uint16_le mem addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le mem addr) land 0xFFFFFFFF
+  | 8 -> Int64.to_int (Bytes.get_int64_le mem addr)
+  | w -> raise (Interp.Fault (Printf.sprintf "bad load width %d" w))
+
+let flat_store mem addr v width =
+  if addr < 0 || addr + width > Bytes.length mem then
+    raise (Interp.Fault (Printf.sprintf "store out of bounds: 0x%x" addr));
+  match width with
+  | 1 -> Bytes.set mem addr (Char.chr (v land 0xFF))
+  | 2 -> Bytes.set_uint16_le mem addr (v land 0xFFFF)
+  | 4 -> Bytes.set_int32_le mem addr (Int32.of_int v)
+  | 8 -> Bytes.set_int64_le mem addr (Int64.of_int v)
+  | w -> raise (Interp.Fault (Printf.sprintf "bad store width %d" w))
+
+let mem_ops_size = 4 * Interp.page_size
+
+(** Paged memory behaves like one flat [Bytes.t] under any sequence of
+    loads and stores of width 1, 2, 4 and 8 — page-straddling and
+    out-of-bounds accesses and bad widths included. *)
+let prop_interp_memory =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (* near a page boundary, so wide accesses straddle it *)
+        ( 4,
+          map2
+            (fun page d -> (page * Interp.page_size) + d)
+            (int_range 0 4) (int_range (-9) 8) );
+        (3, int_range 0 (mem_ops_size - 1));
+        (1, int_range (-16) (mem_ops_size + 16));
+      ]
+  in
+  let width = frequency [ (12, oneofl [ 1; 2; 4; 8 ]); (1, oneofl [ 0; 3; 16 ]) ] in
+  let op = quad bool addr width int in
+  let arb =
+    QCheck.make
+      ~print:(fun ops ->
+        String.concat "; "
+          (List.map
+             (fun (st, a, w, v) ->
+               if st then Printf.sprintf "store 0x%x w%d %d" a w v
+               else Printf.sprintf "load 0x%x w%d" a w)
+             ops))
+      (list_size (int_range 1 200) op)
+  in
+  QCheck.Test.make ~name:"paged interpreter memory matches flat bytes" ~count:200 arb
+    (fun ops ->
+      let t = Interp.create ~mem_size:mem_ops_size [] in
+      let flat = Bytes.make mem_ops_size '\000' in
+      let result f = match f () with v -> Ok v | exception Interp.Fault m -> Error m in
+      List.for_all
+        (fun (st, a, w, v) ->
+          if st then
+            result (fun () -> Interp.store t a v w)
+            = result (fun () -> flat_store flat a v w)
+          else
+            result (fun () -> Interp.load t a w) = result (fun () -> flat_load flat a w))
+        ops
+      && List.for_all
+           (fun a -> Interp.load t a 1 = Char.code (Bytes.get flat a))
+           (List.init mem_ops_size Fun.id))
+
 let suite =
   List.map to_alcotest
     [
@@ -308,4 +423,6 @@ let suite =
       prop_box_cover_exact;
       prop_canonical_form_invariant;
       prop_truncate;
+      prop_compile_deterministic;
+      prop_interp_memory;
     ]
