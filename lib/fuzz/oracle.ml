@@ -129,16 +129,34 @@ let apply_interp it (a : Gen.assignment) =
 
 (* Every oracle of a case builds the case's source, most of them more
    than once, and [oracle_names] runs each source's builds back to back:
-   the case alone (interp-vs-vm, commit-soundness, commit-idempotent,
-   schedule-equiv), then with the OSR, SMP and lazy auxiliaries.  So the
-   last compiled unit is kept, per domain, keyed on (source, lazy), and a
-   hit only links.  Linking never mutates a unit, so every build still
-   gets a fresh image of its own, byte-identical to a full
-   [Compiler.build_string]. *)
+   eagerly for every oracle that builds (the OSR, SMP and lazy ones link
+   an auxiliary unit after it), then lazily for the second half of
+   lazy-eager-equiv.  So the last compiled case unit is kept, per domain,
+   keyed on (source, lazy), and a hit only links: a case compiles twice.
+   The auxiliary units are constants, compiled once per domain for each
+   lazy mode they are linked with (see [aux_unit]).  Linking never
+   mutates a unit, so every build still gets a fresh image of its own,
+   byte-identical to a full [Compiler.build] of the same units. *)
 let last_unit : (string * bool * Compiler.compiled_unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let build ?(lazy_variants = false) src : Compiler.program =
+let aux_cache : (string * bool * Compiler.compiled_unit) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let aux_unit ~lazy_variants (aux : Compiler.unit_input) =
+  let cache = Domain.DLS.get aux_cache in
+  match
+    List.find_opt
+      (fun (n, l, _) -> l = lazy_variants && String.equal n aux.Compiler.u_name)
+      !cache
+  with
+  | Some (_, _, cu) -> cu
+  | None ->
+      let cu = Compiler.compile_unit ~lazy_variants aux in
+      cache := (aux.Compiler.u_name, lazy_variants, cu) :: !cache;
+      cu
+
+let build ?(lazy_variants = false) ?aux src : Compiler.program =
   let slot = Domain.DLS.get last_unit in
   let cu =
     match !slot with
@@ -152,13 +170,16 @@ let build ?(lazy_variants = false) src : Compiler.program =
         slot := Some (src, lazy_variants, cu);
         cu
   in
-  { Compiler.p_image = Compiler.link [ cu ]; p_units = [ cu ] }
+  let units =
+    match aux with None -> [ cu ] | Some a -> [ cu; aux_unit ~lazy_variants a ]
+  in
+  { Compiler.p_image = Compiler.link units; p_units = units }
 
 (* A machine + runtime pair with optional fault injection in the flush
    path (the chaos modes exist so the fuzzer can prove it would catch a
    pipeline that forgets to invalidate the decode cache). *)
-let build_session ?(chaos = No_chaos) src =
-  let program = build src in
+let build_session ?(chaos = No_chaos) ?aux src =
+  let program = build ?aux src in
   let machine = Machine.create program.Compiler.p_image in
   let lost = ref false in
   let flush ~addr ~len =
@@ -475,17 +496,21 @@ let schedule_equiv ?chaos (case : Gen.case) (sched : Schedule.t) :
 
 module Smp = Mv_vm.Smp
 
-(* Auxiliary SMP workload appended to every generated case.  The [__smp_]
-   prefix cannot collide with generated identifiers, and the workload
-   touches only its own globals: the case's driver (pinned to hart 0) and
-   the worker (pinned to the last hart) share text, the patch runtime and
-   the rendezvous machinery, but no data — so driver outcomes and case
-   observables must be identical under every scheduler configuration.
+(* Auxiliary SMP workload, linked as its own unit after every generated
+   case.  The [__smp_] prefix cannot collide with generated identifiers,
+   and the workload touches only its own globals: the case's driver
+   (pinned to hart 0) and the worker (pinned to the last hart) share
+   text, the patch runtime and the rendezvous machinery, but no data — so
+   driver outcomes and case observables must be identical under every
+   scheduler configuration.
    Generated code never writes its switches (see gen.mli), so the mid-run
    [commit_safe] below re-stages exactly the initial case bindings; the
    only text that actually changes is [__smp_tick]'s binding. *)
-let smp_aux_src =
-  {|
+let smp_aux =
+  {
+    Compiler.u_name = "smp_aux";
+    u_source =
+      {|
     multiverse int __smp_mode;
     int __smp_acc;
     multiverse void __smp_tick() {
@@ -500,7 +525,8 @@ let smp_aux_src =
         __smp_tick();
       }
     }
-  |}
+  |};
+  }
 
 let smp_worker_iters = 48
 let smp_probe_iters = 8
@@ -531,7 +557,7 @@ type smp_summary = {
    though with the text writer installed most invalidation traffic goes
    through [Smp.text_poke] and is exercised by the plain oracles. *)
 let build_smp_session ?(chaos = No_chaos) ~n_harts ~policy ~seed src =
-  let program = build src in
+  let program = build ~aux:smp_aux src in
   let image = program.Compiler.p_image in
   let smp = Smp.create ~policy ~seed ~n_harts image in
   let lost = ref false in
@@ -560,7 +586,6 @@ let smp_schedule_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
       (fun d -> Some { d_oracle = "smp-schedule-equiv"; d_detail = d })
       fmt
   in
-  let src = case.Gen.c_src ^ smp_aux_src in
   let obs = observables case in
   let run_config (n_harts, seed, policy) : (smp_summary, string) result =
     let cfail fmt =
@@ -568,7 +593,7 @@ let smp_schedule_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
         (fun d -> Error (Printf.sprintf "[%d harts, seed %d] %s" n_harts seed d))
         fmt
     in
-    let _prog, smp, rt = build_smp_session ?chaos ~n_harts ~policy ~seed src in
+    let _prog, smp, rt = build_smp_session ?chaos ~n_harts ~policy ~seed case.Gen.c_src in
     let img = _prog.Compiler.p_image in
     let mode_addr = Image.symbol img "__smp_mode" in
     let acc_addr = Image.symbol img "__smp_acc" in
@@ -708,20 +733,25 @@ let smp_schedule_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
 (* Oracle: OSR-transferred state vs run-from-scratch                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Auxiliary OSR workload appended to the case: [__osr_spin] is a
-   multiversed outer loop that never quiesces while it runs — every
-   iteration polls a safepoint (the [__osr_tick] return) and calls the
-   case's driver.  The subject parks an activation k machine steps into
-   the loop and issues a safe commit, which must defer (the loop is
-   live); the only way the journal drains mid-run is an on-stack
-   transfer of the parked frame into the bound variant.  The baseline
-   commits the identical switch state while idle and runs from scratch.
-   [__osr_mode] stays 1 in memory on both sides, so the generic body and
-   the bound variant are semantically identical: any divergence in the
-   return value, the case's observable globals, or the tick counter is a
-   broken frame transfer, not program semantics. *)
-let osr_aux_src =
-  {|
+(* Auxiliary OSR workload, linked as its own unit after the case; its
+   one import is the case's [driver], which {!Gen} always defines with
+   arity 1.  [__osr_spin] is a multiversed outer loop that never quiesces
+   while it runs — every iteration polls a safepoint (the [__osr_tick]
+   return) and calls the case's driver.  The subject parks an activation
+   k machine steps into the loop and issues a safe commit, which must
+   defer (the loop is live); the only way the journal drains mid-run is
+   an on-stack transfer of the parked frame into the bound variant.  The
+   baseline commits the identical switch state while idle and runs from
+   scratch.  [__osr_mode] stays 1 in memory on both sides, so the generic
+   body and the bound variant are semantically identical: any divergence
+   in the return value, the case's observable globals, or the tick
+   counter is a broken frame transfer, not program semantics. *)
+let osr_aux =
+  {
+    Compiler.u_name = "osr_aux";
+    u_source =
+      {|
+    extern int driver(int a);
     multiverse int __osr_mode;
     int __osr_sink;
     void __osr_tick() { __osr_sink = __osr_sink + 1; }
@@ -734,7 +764,8 @@ let osr_aux_src =
       }
       return acc;
     }
-  |}
+  |};
+  }
 
 let osr_spin_iters = 6
 
@@ -787,7 +818,6 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
   let fail fmt =
     Printf.ksprintf (fun d -> Some { d_oracle = "osr-state-equiv"; d_detail = d }) fmt
   in
-  let src = case.Gen.c_src ^ osr_aux_src in
   let obs = observables case in
   let arg = match case.Gen.c_args with a :: _ -> a | [] -> 0 in
   let prep case img =
@@ -798,7 +828,7 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
   in
   (* the baseline is always healthy: chaos is injected into the subject *)
   let run_baseline () =
-    let program, machine, rt = build_session src in
+    let program, machine, rt = build_session ~aux:osr_aux case.Gen.c_src in
     let img = program.Compiler.p_image in
     prep case img;
     ignore (Runtime.commit rt);
@@ -810,7 +840,7 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
     (out, read_obs_machine img obs, Image.read img (Image.symbol img "__osr_sink") 8)
   in
   let run_subject k =
-    let program = build src in
+    let program = build ~aux:osr_aux case.Gen.c_src in
     let img = program.Compiler.p_image in
     let machine = Machine.create img in
     let lost = ref false in
@@ -887,14 +917,18 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
 (* Oracle: eager pre-expansion vs demand-driven materialization        *)
 (* ------------------------------------------------------------------ *)
 
-(* Auxiliary workload appended to the case: a multiversed tick whose two
-   bodies are the same size but semantically distinct.  Under the
-   one-block budget below, flipping [__lz_mode] back and forth forces
-   the variant cache to evict the resident body and recycle its block
-   for the other valuation on every commit — exactly the traffic a
-   stale dedup entry ([Stale_cache]) turns into a wrong-code link. *)
-let lazy_aux_src =
-  {|
+(* Auxiliary workload, linked as its own unit after the case, eager and
+   lazy alike: a multiversed tick whose two bodies are the same size but
+   semantically distinct.  Under the one-block budget below, flipping
+   [__lz_mode] back and forth forces the variant cache to evict the
+   resident body and recycle its block for the other valuation on every
+   commit — exactly the traffic a stale dedup entry ([Stale_cache]) turns
+   into a wrong-code link. *)
+let lazy_aux =
+  {
+    Compiler.u_name = "lazy_aux";
+    u_source =
+      {|
     multiverse int __lz_mode;
     int __lz_acc;
     multiverse void __lz_tick() {
@@ -909,7 +943,8 @@ let lazy_aux_src =
         __lz_tick();
       }
     }
-  |}
+  |};
+  }
 
 (* One 32-byte allocation — just enough for a single [__lz_tick] body
    (23 bytes) — so every distinct valuation evicts its predecessor and
@@ -925,7 +960,7 @@ let lazy_probe_iters = 6
    subject like everywhere else; [Stale_cache] additionally makes
    eviction skip the dedup-table invalidation. *)
 let build_lazy_session ?(chaos = No_chaos) src =
-  let program = build ~lazy_variants:true src in
+  let program = build ~lazy_variants:true ~aux:lazy_aux src in
   let machine = Machine.create program.Compiler.p_image in
   let lost = ref false in
   let flush ~addr ~len =
@@ -951,11 +986,10 @@ let lazy_eager_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
       (fun d -> Some { d_oracle = "lazy-eager-equiv"; d_detail = d })
       fmt
   in
-  let src = case.Gen.c_src ^ lazy_aux_src in
   let obs = observables case in
-  let _eprog, eager_machine, eager_rt = build_session src in
+  let _eprog, eager_machine, eager_rt = build_session ~aux:lazy_aux case.Gen.c_src in
   let eimg = _eprog.Compiler.p_image in
-  let _lprog, lazy_machine, lazy_rt = build_lazy_session ~chaos src in
+  let _lprog, lazy_machine, lazy_rt = build_lazy_session ~chaos case.Gen.c_src in
   let limg = _lprog.Compiler.p_image in
   (* phase A: the case's own switch assignments and drivers — every
      committed valuation must behave identically whether its variant was
@@ -1055,3 +1089,8 @@ let run_all ?chaos ?(only = []) case sched =
     (fun acc name ->
       match acc with Some _ -> acc | None -> run_named ?chaos name case sched)
     None names
+
+let aux_units () =
+  List.map
+    (fun (aux, lazy_variants) -> (aux, lazy_variants, aux_unit ~lazy_variants aux))
+    [ (osr_aux, false); (smp_aux, false); (lazy_aux, false); (lazy_aux, true) ]

@@ -11,10 +11,18 @@
     layout-dependent) and [__rdtsc] never occurs in generated programs, so
     any divergence is a genuine bug in the pipeline under test.
 
-    Each domain remembers the last unit it compiled, keyed on the source
-    text and whether variants are lazy, and a build of the same pair only
-    links it again.  {!oracle_names} runs each source's builds back to
-    back, so one entry turns a case's fourteen compiles into five.
+    The OSR, SMP and lazy-vs-eager oracles each run an auxiliary
+    workload beside the case.  Each workload is a translation unit of
+    its own ({!aux_units}), linked after the case's unit the way the
+    paper links separately compiled objects, so its descriptor records
+    follow the case's in every [multiverse.*] section.
+
+    Each domain remembers the last case unit it compiled, keyed on the
+    source text and whether variants are lazy, and a build of the same
+    pair only links it again.  {!oracle_names} runs the eager builds of
+    a case back to back and the lazy one last, so a case compiles twice:
+    once eagerly for six oracles and once lazily for [lazy-eager-equiv].
+    The auxiliary units are compiled once per domain and lazy mode.
     Every build still links a fresh image, machine and runtime of its
     own, so chaos injected into one build never reaches another. *)
 
@@ -78,3 +86,11 @@ val run_all :
   Gen.case ->
   Schedule.t ->
   divergence option
+
+(** This domain's auxiliary workload units as [(source, lazy_variants,
+    unit)]: the OSR and SMP workloads eager, the lazy-vs-eager workload
+    both ways.  Units not yet compiled on this domain are compiled now.
+    The OSR unit imports the case's [driver] ({!Gen.case}'s [c_entry]);
+    the others stand alone.  Exposed so tests can check that the cached
+    units stay as compiled. *)
+val aux_units : unit -> (Core.Compiler.unit_input * bool * Core.Compiler.compiled_unit) list

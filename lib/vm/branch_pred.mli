@@ -6,15 +6,12 @@
     pays a 15-20 cycle misprediction on real, cold or aliased kernel paths;
     {!flush} and {!perturb} model those conditions (ablation A2). *)
 
-type t = {
-  counters : int array;
-  btb : int array;
-  mutable history : int;
-  bits : int;
-}
+type t
 
 (** Fresh predictor; [bits] sizes the history/counter tables (default 12,
-    i.e. 4096 entries). *)
+    i.e. 4096 entries).  The counters take one byte each and the branch
+    target buffer is allocated by the first {!indirect} call, so a
+    machine that never makes an indirect transfer never pays for it. *)
 val create : ?bits:int -> unit -> t
 
 (** Predict-and-update for the conditional branch at [pc]; [true] when the

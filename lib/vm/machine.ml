@@ -75,12 +75,13 @@ type t = {
       (** pre-decoded superblocks keyed by entry text offset — the
           enumeration side (invalidation walks it); lookups go through
           [block_map] *)
-  mutable block_map : superblock option array;
-      (** direct-mapped dispatch index: [block_map.(off)] is the live
-          superblock entered at text offset [off].  Same contents as
-          [blocks]; exists so the block-transition hot path is an array
-          read instead of a hash lookup.  Covers a prefix of
-          [code_span], starting at the static text's size *)
+  block_map : superblock option array array;
+      (** two-level dispatch index: [block_map.(off lsr 8).(off land 255)]
+          is the live superblock entered at text offset [off].  Same
+          contents as [blocks]; exists so the block-transition hot path
+          is two array reads instead of a hash lookup.  One slot per 256
+          bytes of [code_span]; a slot shares the never-written
+          [empty_chunk] until a block is registered in its range *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;  (** index into [sb_cur] expected to execute next *)
@@ -135,14 +136,21 @@ and superblock = {
 
 let return_sentinel = 0
 
+(* The dispatch index's chunk geometry, and the one chunk every slot
+   shares until a block is registered there.  It is never written, so
+   machines on any domain may share it. *)
+let chunk_bits = 8
+let chunk_mask = (1 lsl chunk_bits) - 1
+let empty_chunk : superblock option array = Array.make (1 lsl chunk_bits) None
+
 let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
     ?(hart_id = 0) ?stack_base (image : Image.t) : t =
   (* the code span covers every executable byte: the static text plus —
      when the image reserves one — the variant-text region the lazy
      materializer writes into, so freshly materialized bodies fetch and
-     superblock-compile like any AOT code.  The dispatch index starts at
-     the static text's size and the reference stepper's cache empty; both
-     grow toward the code span on their slow paths ([extend_map]) *)
+     superblock-compile like any AOT code.  The dispatch index spans it
+     with shared empty chunks; the reference stepper's cache starts empty
+     and grows toward the code span on its slow path ([extend_map]) *)
   let code_span =
     let text = image.Image.text in
     let text_end = text.Image.sr_base + text.Image.sr_size in
@@ -167,7 +175,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     code_span;
     cache = [||];
     blocks = Hashtbl.create 256;
-    block_map = Array.make (max 1 image.Image.text.Image.sr_size) None;
+    block_map = Array.make ((code_span + chunk_mask) lsr chunk_bits) empty_chunk;
     sb_cur = None;
     sb_ix = 0;
     dstats = { ds_blocks = 0; ds_insns = 0; ds_invalidated = 0 };
@@ -240,7 +248,7 @@ let invalidate_blocks t ~lo ~hi =
         b.sb_live <- false;
         t.dstats.ds_invalidated <- t.dstats.ds_invalidated + 1;
         Hashtbl.remove t.blocks key;
-        t.block_map.(key) <- None)
+        t.block_map.(key lsr chunk_bits).(key land chunk_mask) <- None)
       !doomed
   end;
   match t.sb_cur with
@@ -275,7 +283,7 @@ let enable_heat t =
   match t.heat with
   | Some _ -> ()
   | None ->
-      let n = Array.length t.block_map in
+      let n = max 1 t.image.Image.text.Image.sr_size in
       t.heat <-
         Some
           {
@@ -311,7 +319,8 @@ let check_code t pc off =
 (* [a] extended to cover text offset [off < code_span]: at least doubled
    and at least the static text, capped at the code span, so a lazy image
    that materializes bodies across its variant-text region regrows
-   O(log) times.  Entries keep their offsets. *)
+   O(log) times.  Entries keep their offsets.  Sizes the reference
+   stepper's cache and the heat counters. *)
 let extend_map t a fill off =
   let text = t.image.Image.text.Image.sr_size in
   let n = min t.code_span (max (off + 1) (max text (2 * Array.length a))) in
@@ -319,21 +328,12 @@ let extend_map t a fill off =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-(* Grow the dispatch index, and the heat counters indexed like it, so live
-   blocks and accumulated heat survive. *)
-let grow_block_map t off =
-  let grow a fill = extend_map t a fill off in
-  t.block_map <- grow t.block_map None;
-  match t.heat with
-  | None -> ()
-  | Some h ->
-      t.heat <-
-        Some
-          {
-            hh_hits = grow h.hh_hits 0;
-            hh_insns = grow h.hh_insns 0;
-            hh_ends = grow h.hh_ends 0;
-          }
+(* Grow the heat counters to cover [off], keeping accumulated heat. *)
+let grow_heat t h off =
+  let grow a = extend_map t a 0 off in
+  let h = { hh_hits = grow h.hh_hits; hh_insns = grow h.hh_insns; hh_ends = grow h.hh_ends } in
+  t.heat <- Some h;
+  h
 
 let fetch t pc : Insn.t * int =
   let off = pc - text_base t in
@@ -677,7 +677,17 @@ let build_block t pc0 : superblock =
     }
   in
   Hashtbl.replace t.blocks b.sb_start b;
-  t.block_map.(b.sb_start) <- Some b;
+  let slot = b.sb_start lsr chunk_bits in
+  let chunk =
+    let c = t.block_map.(slot) in
+    if c != empty_chunk then c
+    else begin
+      let c = Array.make (1 lsl chunk_bits) None in
+      t.block_map.(slot) <- c;
+      c
+    end
+  in
+  chunk.(b.sb_start land chunk_mask) <- Some b;
   t.dstats.ds_blocks <- t.dstats.ds_blocks + 1;
   t.dstats.ds_insns <- t.dstats.ds_insns + Array.length b.sb_ops;
   b
@@ -688,12 +698,11 @@ let build_block t pc0 : superblock =
    blocks are keyed by entry offset only. *)
 let locate_slow t pc : superblock =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.block_map then begin
-    check_code t pc off;
-    grow_block_map t off
-  end;
+  if off < 0 || off >= t.code_span then check_code t pc off;
   let b =
-    match Array.unsafe_get t.block_map off with
+    match
+      Array.unsafe_get (Array.unsafe_get t.block_map (off lsr chunk_bits)) (off land chunk_mask)
+    with
     | Some b -> b
     | None -> build_block t pc
   in
@@ -704,6 +713,7 @@ let locate_slow t pc : superblock =
   (match t.heat with
   | None -> ()
   | Some h ->
+      let h = if off < Array.length h.hh_hits then h else grow_heat t h off in
       h.hh_hits.(off) <- h.hh_hits.(off) + 1;
       h.hh_insns.(off) <- h.hh_insns.(off) + Array.length b.sb_ops;
       h.hh_ends.(off) <- b.sb_end);

@@ -68,11 +68,15 @@ type t = {
   blocks : (int, superblock) Hashtbl.t;
       (** pre-decoded superblocks keyed by entry text offset (enumeration
           side; invalidation walks it) *)
-  mutable block_map : superblock option array;
-      (** direct-mapped dispatch index over text offsets — the hot-path
-          view of [blocks]: block transitions cost one array read.  Starts
-          at the static text's size and grows toward [code_span] (with the
-          heat counters) the first time dispatch reaches code beyond it *)
+  block_map : superblock option array array;
+      (** two-level dispatch index over text offsets — the hot-path view
+          of [blocks]: [block_map.(off lsr 8).(off land 255)] is the block
+          entered at [off], so a block transition costs two array reads.
+          One slot per 256 bytes of [code_span], each sharing one
+          never-written empty chunk until a block is registered in its
+          range, which gives the slot a private 256-entry chunk.  A lazy
+          image's variant-text region therefore costs one word per 256
+          bytes until code runs there *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;

@@ -448,9 +448,15 @@ let test_lazy_link_twice_is_independent () =
   check_bool "materializing left the unit's recipes as compiled" true
     (cu.Compiler.cu_recipes = (compile ~lazy_variants:true memo_src).Compiler.cu_recipes)
 
+(* An object's observable content: every section's bytes, its
+   relocations and its symbols. *)
+let obj_contents (o : Objfile.t) =
+  (List.map (Objfile.section_contents o) Objfile.all_sections, Objfile.relocs o, Objfile.symbols o)
+
 (* Chaos lives in the images and runtimes the oracles build, never in
-   the remembered unit: after the OSR and lazy oracles diverge under
-   their chaos modes, the same case is clean under every oracle. *)
+   the remembered units: after the OSR and lazy oracles diverge under
+   their chaos modes, the same case is clean under every oracle, and the
+   cached auxiliary units still equal a fresh compile of their sources. *)
 let test_chaos_does_not_poison_the_memo () =
   let caught = ref 0 in
   List.iter
@@ -465,7 +471,120 @@ let test_chaos_does_not_poison_the_memo () =
       | None -> ()
       | Some d -> Alcotest.failf "seed %d after chaos: %a" seed Oracle.pp_divergence d)
     [ 1; 2; 3 ];
-  check_bool "the chaos runs diverged" true (!caught > 0)
+  check_bool "the chaos runs diverged" true (!caught > 0);
+  List.iter
+    (fun ((aux : Compiler.unit_input), lazy_variants, cu) ->
+      check_bool
+        (Printf.sprintf "cached %s (lazy=%b) equals a fresh compile" aux.Compiler.u_name
+           lazy_variants)
+        true
+        (obj_contents cu.Compiler.cu_obj
+        = obj_contents (Compiler.compile_unit ~lazy_variants aux).Compiler.cu_obj))
+    (Oracle.aux_units ())
+
+(* ------------------------------------------------------------------ *)
+(* Auxiliary workloads as separately compiled units                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_aux_units_compile_alone () =
+  List.iter
+    (fun ((aux : Compiler.unit_input), lazy_variants, _) ->
+      let cu = Compiler.compile_unit ~lazy_variants aux in
+      check_bool
+        (Printf.sprintf "%s (lazy=%b) compiles alone with no warnings" aux.Compiler.u_name
+           lazy_variants)
+        true (cu.Compiler.cu_warnings = []))
+    (Oracle.aux_units ())
+
+module D = Core.Descriptor
+
+(* The descriptor records of an image, one list per [multiverse.*]
+   section in section order, with every address made symbol-relative so
+   a unit's records compare equal wherever the linker placed it. *)
+let descriptor_records img =
+  let rel a =
+    match Image.symbol_at img a with
+    | Some s -> Printf.sprintf "%s+%d" s (a - Image.symbol img s)
+    | None -> Printf.sprintf "?0x%x" a
+  in
+  let loc = function
+    | D.Loc_reg r -> Printf.sprintf "r%d" r
+    | D.Loc_slot n -> Printf.sprintf "s%d" n
+  in
+  let variant (v : D.variant_record) =
+    Printf.sprintf "%s/%d {%s}" (rel v.D.va_addr) v.D.va_size
+      (String.concat " "
+         (List.map
+            (fun (g : D.guard_record) ->
+              Printf.sprintf "%s:%d..%d" (rel g.D.gr_var) g.D.gr_lo g.D.gr_hi)
+            v.D.va_guards))
+  in
+  let safepoint (sp : D.safepoint_record) =
+    Printf.sprintf "#%d@%s(%s)" sp.D.fs_id (rel sp.D.fs_pc)
+      (String.concat "," (List.map (fun (v, l) -> Printf.sprintf "%d:%s" v (loc l)) sp.D.fs_live))
+  in
+  [
+    List.map
+      (fun (v : D.variable) ->
+        Printf.sprintf "%s w%d %b %b" (rel v.D.vr_addr) v.D.vr_width v.D.vr_signed v.D.vr_fnptr)
+      (D.parse_variables img);
+    List.map
+      (fun (c : D.callsite) -> Printf.sprintf "%s -> %s" (rel c.D.cs_site) (rel c.D.cs_target))
+      (D.parse_callsites img);
+    List.map
+      (fun (f : D.function_record) ->
+        Printf.sprintf "%s/%d [%s]" (rel f.D.fd_generic) f.D.fd_generic_size
+          (String.concat "; " (List.map variant f.D.fd_variants)))
+      (D.parse_functions img);
+    List.map
+      (fun (m : D.framemap_record) ->
+        Printf.sprintf "%s %d [%s] %s" (rel m.D.fm_addr) m.D.fm_frame_bytes
+          (String.concat "," (List.map string_of_int m.D.fm_saves))
+          (String.concat " " (List.map safepoint m.D.fm_safepoints)))
+      (D.parse_framemaps img);
+  ]
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
+
+(* Linking [case; aux] concatenates the units' [multiverse.*] sections —
+   the path every fuzz case's OSR, SMP and lazy builds take: each
+   section holds the case's records, then the aux's, every address
+   relocated to where the linker placed that unit.  The OSR unit imports
+   [driver], so each aux's own records are taken from a link behind a
+   one-function stand-in for the case. *)
+let test_aux_descriptors_follow_the_case () =
+  let stub = compile "int driver(int n) { return n; }" in
+  let stub_records = descriptor_records (Compiler.link [ stub ]) in
+  let aux_records =
+    List.map
+      (fun (aux, lazy_variants, cu) ->
+        let behind_stub = descriptor_records (Compiler.link [ stub; cu ]) in
+        let own = List.map2 (fun s r -> drop (List.length s) r) stub_records behind_stub in
+        (aux, lazy_variants, cu, own))
+      (Oracle.aux_units ())
+  in
+  List.iter
+    (fun seed ->
+      let case = Gen.case ~cfg:Gen.small_cfg seed in
+      List.iter
+        (fun ((aux : Compiler.unit_input), lazy_variants, aux_cu, aux_alone) ->
+          let case_cu = compile ~lazy_variants case.Gen.c_src in
+          let case_alone = descriptor_records (Compiler.link [ case_cu ]) in
+          let linked = descriptor_records (Compiler.link [ case_cu; aux_cu ]) in
+          check_bool
+            (Printf.sprintf "seed %d + %s (lazy=%b): every record address names a symbol" seed
+               aux.Compiler.u_name lazy_variants)
+            false
+            (List.exists (List.exists (fun r -> string_contains r "?0x")) linked);
+          check_bool
+            (Printf.sprintf "seed %d + %s (lazy=%b): the case's records, then the aux's" seed
+               aux.Compiler.u_name lazy_variants)
+            true
+            (linked = List.map2 ( @ ) case_alone aux_alone))
+        aux_records)
+    (List.init 20 (fun i -> i + 1));
+  check_bool "the aux units carry descriptor records" true
+    (List.for_all (fun (_, _, _, r) -> List.exists (( <> ) []) r) aux_records)
 
 (* A worker exception must fail the campaign in every mode: an inverted
    size range makes [Gen.case] raise on the first case. *)
@@ -497,6 +616,9 @@ let suite =
     tc "lazy unit links twice, materializes in one image only"
       test_lazy_link_twice_is_independent;
     tc "chaos never poisons the compiled-unit memo" test_chaos_does_not_poison_the_memo;
+    tc "auxiliary workloads compile as standalone units" test_aux_units_compile_alone;
+    tc "linked aux descriptors follow the case's, relocated"
+      test_aux_descriptors_follow_the_case;
     tc "a dying worker fails run_parallel like run"
       test_parallel_worker_exception_propagates;
   ]

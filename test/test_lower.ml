@@ -216,13 +216,7 @@ let test_memory_demand_zero () =
    interpreter for a small program allocates far less than its 2 MiB. *)
 let test_memory_create_is_cheap () =
   let prog = lower "int a = 5; int arr[64]; int f(int n) { arr[n] = n; return a + n; }" in
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = words () in
-  let t = Interp.create [ prog ] in
-  let w = words () -. w0 in
+  let w, t = alloc_words (fun () -> Interp.create [ prog ]) in
   check_bool (Printf.sprintf "Interp.create allocated %.0f words (< 20000)" w) true (w < 20_000.);
   check_int "and the program still runs" 12 (Interp.run t "f" [ 7 ])
 

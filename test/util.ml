@@ -9,6 +9,17 @@ let check_string = Alcotest.(check string)
 let tc name f = Alcotest.test_case name `Quick f
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(** Host words allocated by [f ()] (minor plus direct-major, promotions
+    counted once), with its result. *)
+let alloc_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (words () -. w0, r)
+
 (** Parse + typecheck, expecting success. *)
 let check_ok src =
   let tu, env, warnings = Minic.Typecheck.check_string src in
