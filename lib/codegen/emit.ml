@@ -9,6 +9,7 @@
 
 module Ir = Mv_ir.Ir
 module Insn = Mv_isa.Insn
+module Liveness = Mv_opt.Liveness
 
 exception Error of string
 
@@ -305,7 +306,9 @@ let emit_terminator st ~next_block (t : Ir.terminator) =
     "adjusting the sizes of call sites" extension the paper sketches in
     Section 7.1. *)
 let emit_fn ?(call_pad = fun (_ : string) -> 0) (fn : Ir.fn) : fragment =
-  let ra = Regalloc.allocate fn in
+  (* one liveness serves the allocator and the frame maps *)
+  let lv = Liveness.compute fn in
+  let ra = Regalloc.allocate lv fn in
   let saves =
     match fn.fn_conv with
     | Ir.Saveall ->
@@ -359,54 +362,43 @@ let emit_fn ?(call_pad = fun (_ : string) -> 0) (fn : Ir.fn) : fragment =
      pc its value is still in r0 on both sides of a transfer, not yet in
      its home location. *)
   let sp_live_of =
-    let module Iset = Mv_opt.Dce.Iset in
-    let module Imap = Mv_opt.Dce.Imap in
-    let live_in = Mv_opt.Dce.liveness fn in
-    let tbl : (int, Mv_opt.Dce.Iset.t) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (b : Ir.block) ->
-        let live =
-          ref
-            (List.fold_left
-               (fun acc succ ->
-                 match Imap.find_opt succ live_in with
-                 | Some s -> Iset.union acc s
-                 | None -> acc)
-               Iset.empty
-               (Ir.successors b.b_term))
-        in
-        List.iter (fun r -> live := Iset.add r !live) (Mv_opt.Dce.term_uses b.b_term);
+    let live = Liveness.create_set lv in
+    let add_live r = Liveness.add live r in
+    let tbl : (int, Ir.reg list) Hashtbl.t = Hashtbl.create 8 in
+    List.iteri
+      (fun p (b : Ir.block) ->
+        Liveness.live_out lv p live;
+        Ir.iter_term_uses add_live b.b_term;
         let pending_sp = ref None in
-        List.iter
+        Liveness.iter_back
           (fun i ->
             (match i with
             | Ir.Isafepoint id ->
-                Hashtbl.replace tbl id !live;
+                Hashtbl.replace tbl id (Liveness.elements live);
                 pending_sp := Some id
             | Ir.Icall (d, _, _) | Ir.Icallp (d, _, _) ->
                 (match !pending_sp, d with
-                | Some id, Some d -> Hashtbl.replace tbl id (Iset.remove d !live)
+                | Some id, Some d ->
+                    Hashtbl.replace tbl id
+                      (List.filter (fun r -> r <> d) (Liveness.elements live))
                 | _ -> ());
                 pending_sp := None
             | _ -> pending_sp := None);
-            (match Ir.instr_def i with
-            | Some d -> live := Iset.remove d !live
-            | None -> ());
-            List.iter
-              (function Ir.Reg r -> live := Iset.add r !live | Ir.Imm _ -> ())
-              (Ir.instr_uses i))
-          (List.rev b.b_instrs))
+            let d = Ir.def_reg i in
+            if d >= 0 then Liveness.remove live d;
+            Ir.iter_reg_uses add_live i)
+          b.b_instrs)
       fn.fn_blocks;
     fun id ->
       match Hashtbl.find_opt tbl id with
       | None -> []
-      | Some set ->
+      | Some regs ->
           List.filter_map
             (fun v ->
               match Regalloc.assignment_of ra v with
               | Regalloc.Unused -> None
               | a -> Some (v, a))
-            (Mv_opt.Dce.Iset.elements set)
+            regs
   in
   (* resolve *)
   let relocs = ref [] and callsites = ref [] and safepoints = ref [] in

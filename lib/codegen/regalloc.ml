@@ -8,8 +8,7 @@
    stack pointer. *)
 
 module Ir = Mv_ir.Ir
-module Iset = Mv_opt.Dce.Iset
-module Imap = Mv_opt.Dce.Imap
+module Liveness = Mv_opt.Liveness
 
 (** Callee-saved machine registers available for coloring.  Values in these
     survive calls, at the cost of a push/pop pair in the prologue. *)
@@ -39,56 +38,44 @@ let assignment_of t vreg = t.assign.(vreg)
 (* Interference graph construction                                     *)
 (* ------------------------------------------------------------------ *)
 
-let live_out_of live_in b =
-  List.fold_left
-    (fun acc succ ->
-      match Imap.find_opt succ live_in with
-      | Some s -> Iset.union acc s
-      | None -> acc)
-    Iset.empty
-    (Ir.successors b.Ir.b_term)
-
-let build_interference (fn : Ir.fn) : (int, Iset.t) Hashtbl.t =
-  let graph : (int, Iset.t) Hashtbl.t = Hashtbl.create 64 in
+(* Register -> interfering registers.  Adjacency is a bitset; the table's
+   insertion order is what breaks degree ties in the coloring order, so
+   nodes are registered in a fixed walk order and live sets are visited
+   in increasing register order. *)
+let build_interference (lv : Liveness.t) (fn : Ir.fn) : (int, Liveness.set) Hashtbl.t =
+  let graph : (int, Liveness.set) Hashtbl.t = Hashtbl.create 64 in
   let node r =
-    if not (Hashtbl.mem graph r) then Hashtbl.replace graph r Iset.empty
+    if not (Hashtbl.mem graph r) then Hashtbl.replace graph r (Liveness.create_set lv)
   in
   let edge a b =
     if a <> b then begin
       node a;
       node b;
-      Hashtbl.replace graph a (Iset.add b (Hashtbl.find graph a));
-      Hashtbl.replace graph b (Iset.add a (Hashtbl.find graph b))
+      Liveness.add (Hashtbl.find graph a) b;
+      Liveness.add (Hashtbl.find graph b) a
     end
   in
-  let live_in = Mv_opt.Dce.liveness fn in
-  List.iter
-    (fun (b : Ir.block) ->
-      let live = ref (live_out_of live_in b) in
-      Iset.iter node !live;
-      List.iter
-        (fun r ->
-          node r;
-          live := Iset.add r !live)
-        (Mv_opt.Dce.term_uses b.b_term);
-      List.iter
+  let live = Liveness.create_set lv in
+  let use r =
+    node r;
+    Liveness.add live r
+  in
+  List.iteri
+    (fun p (b : Ir.block) ->
+      Liveness.live_out lv p live;
+      Liveness.iter node live;
+      Ir.iter_term_uses use b.b_term;
+      Liveness.iter_back
         (fun i ->
-          (match Ir.instr_def i with
-          | Some d ->
-              node d;
-              (* the def interferes with everything live after it *)
-              Iset.iter (fun r -> edge d r) (Iset.remove d !live);
-              live := Iset.remove d !live
-          | None -> ());
-          List.iter
-            (fun op ->
-              match op with
-              | Ir.Reg r ->
-                  node r;
-                  live := Iset.add r !live
-              | Ir.Imm _ -> ())
-            (Ir.instr_uses i))
-        (List.rev b.b_instrs))
+          let d = Ir.def_reg i in
+          if d >= 0 then begin
+            node d;
+            (* the def interferes with everything live after it *)
+            Liveness.remove live d;
+            Liveness.iter (fun r -> edge d r) live
+          end;
+          Ir.iter_reg_uses use i)
+        b.b_instrs)
     fn.fn_blocks;
   (* parameters are all defined simultaneously at entry and must not share *)
   let rec pairs = function
@@ -100,11 +87,10 @@ let build_interference (fn : Ir.fn) : (int, Iset.t) Hashtbl.t =
   pairs fn.fn_params;
   (* parameters also interfere with the live-in of the entry block *)
   (match fn.fn_blocks with
-  | entry :: _ ->
-      let live_entry =
-        Option.value ~default:Iset.empty (Imap.find_opt entry.b_id live_in)
-      in
-      List.iter (fun p -> Iset.iter (fun r -> edge p r) (Iset.remove p live_entry)) fn.fn_params
+  | _ :: _ ->
+      List.iter
+        (fun p -> Liveness.iter_live_in lv 0 (fun r -> if r <> p then edge p r))
+        fn.fn_params
   | [] -> ());
   graph
 
@@ -120,7 +106,12 @@ let is_leaf (fn : Ir.fn) =
         b.b_instrs)
     fn.fn_blocks
 
-let allocate (fn : Ir.fn) : t =
+let cardinal (s : Liveness.set) =
+  let n = ref 0 in
+  Liveness.iter (fun _ -> incr n) s;
+  !n
+
+let allocate (lv : Liveness.t) (fn : Ir.fn) : t =
   let allocatable =
     if is_leaf fn then
       (* caller-saved first (free), but never a register that still holds an
@@ -129,29 +120,29 @@ let allocate (fn : Ir.fn) : t =
       List.filter (fun r -> r >= nparams) caller_saved_pool @ callee_saved_pool
     else callee_saved_pool
   in
-  let graph = build_interference fn in
+  let graph = build_interference lv fn in
   let assign = Array.make (max 1 fn.fn_nregs) Unused in
   (* color in order of decreasing degree so constrained nodes go first *)
   let nodes =
-    Hashtbl.fold (fun r adj acc -> (r, Iset.cardinal adj) :: acc) graph []
+    Hashtbl.fold (fun r adj acc -> (r, cardinal adj) :: acc) graph []
     |> List.sort (fun (_, d1) (_, d2) -> compare d2 d1)
     |> List.map fst
   in
-  let colored : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* machine register per vreg, -1 while uncolored; [used] is the mask of
+     machine registers handed out *)
+  let color = Array.make (max 1 fn.fn_nregs) (-1) in
+  let used = ref 0 in
   let spilled = ref [] in
   List.iter
     (fun r ->
-      let adj = Hashtbl.find graph r in
-      let taken =
-        Iset.fold
-          (fun n acc ->
-            match Hashtbl.find_opt colored n with
-            | Some c -> Iset.add c acc
-            | None -> acc)
-          adj Iset.empty
-      in
-      match List.find_opt (fun c -> not (Iset.mem c taken)) allocatable with
-      | Some c -> Hashtbl.replace colored r c
+      let taken = ref 0 in
+      Liveness.iter
+        (fun n -> if color.(n) >= 0 then taken := !taken lor (1 lsl color.(n)))
+        (Hashtbl.find graph r);
+      match List.find_opt (fun c -> !taken land (1 lsl c) = 0) allocatable with
+      | Some c ->
+          color.(r) <- c;
+          used := !used lor (1 lsl c)
       | None -> spilled := r :: !spilled)
     nodes;
   let slot = ref 0 in
@@ -160,10 +151,6 @@ let allocate (fn : Ir.fn) : t =
       assign.(r) <- Slot !slot;
       incr slot)
     (List.rev !spilled);
-  Hashtbl.iter (fun r c -> assign.(r) <- Phys c) colored;
-  let used =
-    Hashtbl.fold (fun _ c acc -> Iset.add c acc) colored Iset.empty
-    |> Iset.elements
-    |> List.filter (fun c -> List.mem c callee_saved_pool)
-  in
+  Array.iteri (fun r c -> if c >= 0 then assign.(r) <- Phys c) color;
+  let used = List.filter (fun c -> !used land (1 lsl c) <> 0) callee_saved_pool in
   { assign; used_callee_saved = used; frame_slots = !slot }

@@ -33,7 +33,7 @@ val assignment_of : t -> Mv_ir.Ir.reg -> assignment
     caller-saved registers. *)
 val is_leaf : Mv_ir.Ir.fn -> bool
 
-(** Interference graph: register -> interfering registers. *)
-val build_interference : Mv_ir.Ir.fn -> (int, Mv_opt.Dce.Iset.t) Hashtbl.t
-
-val allocate : Mv_ir.Ir.fn -> t
+(** Color the function's virtual registers, given the function's
+    liveness ({!Mv_opt.Liveness.compute}); the emitter passes the one it
+    also uses for the frame maps. *)
+val allocate : Mv_opt.Liveness.t -> Mv_ir.Ir.fn -> t

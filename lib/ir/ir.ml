@@ -97,24 +97,13 @@ let successors = function
   | Tbr (_, t, f) -> [ t; f ]
   | Tret _ -> []
 
-(** Registers read by an instruction. *)
-let instr_uses = function
-  | Imov (_, src) -> [ src ]
-  | Iun (_, _, a) -> [ a ]
-  | Ibin (_, _, a, b) -> [ a; b ]
-  | Iload (_, addr, _) -> [ addr ]
-  | Istore (addr, v, _) -> [ addr; v ]
-  | Iloadg _ -> []
-  | Istoreg (_, v, _) -> [ v ]
-  | Iaddr _ -> []
-  | Icall (_, _, args) | Icallp (_, _, args) | Iintr (_, _, args) -> args
-  | Isafepoint _ -> []
-
-let instr_def = function
+(** The register an instruction writes, or [-1] when it writes none. *)
+let def_reg = function
   | Imov (d, _) | Iun (_, d, _) | Ibin (_, d, _, _) | Iload (d, _, _)
-  | Iloadg (d, _, _) | Iaddr (d, _) -> Some d
-  | Icall (d, _, _) | Icallp (d, _, _) | Iintr (d, _, _) -> d
-  | Istore _ | Istoreg _ | Isafepoint _ -> None
+  | Iloadg (d, _, _) | Iaddr (d, _)
+  | Icall (Some d, _, _) | Icallp (Some d, _, _) | Iintr (Some d, _, _) -> d
+  | Icall (None, _, _) | Icallp (None, _, _) | Iintr (None, _, _)
+  | Istore _ | Istoreg _ | Isafepoint _ -> -1
 
 (** Does the instruction have an effect beyond writing its destination
     register?  Such instructions must never be removed by DCE. *)
@@ -138,6 +127,23 @@ let map_instr_operands f = function
   | Icallp (d, s, args) -> Icallp (d, s, List.map f args)
   | Iintr (d, i, args) -> Iintr (d, i, List.map f args)
   | Isafepoint id -> Isafepoint id
+
+let use_operand f = function Reg r -> f r | Imm _ -> ()
+
+(** [f r] for every register an instruction reads, in operand order. *)
+let iter_reg_uses f = function
+  | Imov (_, a) | Iun (_, _, a) | Iload (_, a, _) | Istoreg (_, a, _) -> use_operand f a
+  | Ibin (_, _, a, b) | Istore (a, b, _) ->
+      use_operand f a;
+      use_operand f b
+  | Icall (_, _, args) | Icallp (_, _, args) | Iintr (_, _, args) ->
+      List.iter (use_operand f) args
+  | Iloadg _ | Iaddr _ | Isafepoint _ -> ()
+
+(** [f r] for the register a terminator reads, if any. *)
+let iter_term_uses f = function
+  | Tbr (c, _, _) | Tret (Some c) -> use_operand f c
+  | Tjmp _ | Tret None -> ()
 
 (** Global and function symbols referenced by a function body (reads, writes,
     address-taking, direct and indirect calls). *)

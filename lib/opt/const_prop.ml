@@ -29,30 +29,53 @@ let simplify_binop op a b =
   | Ir.Shl, x, Ir.Imm 0 | Ir.Shr, x, Ir.Imm 0 -> Some (`Op x)
   | _ -> None
 
-type facts = (Ir.reg, Ir.operand) Hashtbl.t
+(* Facts for the block being propagated: [value.(r)] is the operand
+   register [r] currently equals, and [held] lists (possibly with repeats)
+   the registers given a fact since the block began, so clearing at a
+   block end and invalidating touch only those.  One per function. *)
+type facts = { value : Ir.operand option array; mutable held : Ir.reg list }
 
 (** Forget all facts about [r] and all facts that mention [r] as a source. *)
-let invalidate (facts : facts) r =
-  Hashtbl.remove facts r;
-  let stale =
-    Hashtbl.fold
-      (fun d src acc -> match src with Ir.Reg s when s = r -> d :: acc | _ -> acc)
-      facts []
-  in
-  List.iter (Hashtbl.remove facts) stale
+let invalidate facts r =
+  facts.value.(r) <- None;
+  List.iter
+    (fun d ->
+      match facts.value.(d) with
+      | Some (Ir.Reg s) when s = r -> facts.value.(d) <- None
+      | Some _ | None -> ())
+    facts.held
 
-let subst (facts : facts) (op : Ir.operand) : Ir.operand =
+let known facts = function
+  | Ir.Reg r -> Option.is_some facts.value.(r)
+  | Ir.Imm _ -> false
+
+(* Does substitution rewrite some operand?  A fact never maps a register
+   to itself, so this is exactly "the substituted instruction differs". *)
+let rewrites facts = function
+  | Ir.Imov (_, a) | Ir.Iun (_, _, a) | Ir.Iload (_, a, _) | Ir.Istoreg (_, a, _) ->
+      known facts a
+  | Ir.Ibin (_, _, a, b) | Ir.Istore (a, b, _) -> known facts a || known facts b
+  | Ir.Icall (_, _, args) | Ir.Icallp (_, _, args) | Ir.Iintr (_, _, args) ->
+      List.exists (known facts) args
+  | Ir.Iloadg _ | Ir.Iaddr _ | Ir.Isafepoint _ -> false
+
+let subst facts (op : Ir.operand) : Ir.operand =
   match op with
   | Ir.Imm _ -> op
-  | Ir.Reg r -> ( match Hashtbl.find_opt facts r with Some v -> v | None -> op)
+  | Ir.Reg r -> ( match facts.value.(r) with Some v -> v | None -> op)
 
-(** Propagate within one block.  Returns [true] if anything changed. *)
-let run_block (b : Ir.block) : bool =
+(** Propagate within one block, leaving [facts] empty.  Returns [true] if
+    anything changed. *)
+let run_block facts (b : Ir.block) : bool =
   let changed = ref false in
-  let facts : facts = Hashtbl.create 16 in
   let rewrite i =
-    let i' = Ir.map_instr_operands (subst facts) i in
-    if i' <> i then changed := true;
+    let i' =
+      if rewrites facts i then begin
+        changed := true;
+        Ir.map_instr_operands (subst facts) i
+      end
+      else i
+    in
     (* compute the new fact produced by the rewritten instruction *)
     let folded =
       match i' with
@@ -74,29 +97,40 @@ let run_block (b : Ir.block) : bool =
           f
       | None -> i'
     in
-    (match Ir.instr_def i' with
-    | Some d -> (
-        invalidate facts d;
-        match i' with
-        | Ir.Imov (_, (Ir.Imm _ as src)) -> Hashtbl.replace facts d src
-        | Ir.Imov (_, (Ir.Reg s as src)) when s <> d -> Hashtbl.replace facts d src
-        | _ -> ())
-    | None -> ());
+    let d = Ir.def_reg i' in
+    if d >= 0 then begin
+      invalidate facts d;
+      match i' with
+      | Ir.Imov (_, src) when (match src with Ir.Reg s -> s <> d | Ir.Imm _ -> true) ->
+          facts.value.(d) <- Some src;
+          facts.held <- d :: facts.held
+      | _ -> ()
+    end;
     i'
   in
-  b.b_instrs <- List.map rewrite b.b_instrs;
-  (* also rewrite the terminator with end-of-block facts *)
-  let term' =
-    match b.b_term with
-    | Ir.Tbr (c, t, f) -> Ir.Tbr (subst facts c, t, f)
-    | Ir.Tret (Some v) -> Ir.Tret (Some (subst facts v))
-    | (Ir.Tjmp _ | Ir.Tret None) as t -> t
+  (* rewrite in order, sharing the unchanged tail *)
+  let rec go = function
+    | [] -> []
+    | i :: rest as l ->
+        let i' = rewrite i in
+        let rest' = go rest in
+        if i' == i && rest' == rest then l else i' :: rest'
   in
-  if term' <> b.b_term then begin
-    b.b_term <- term';
-    changed := true
-  end;
+  let instrs = go b.b_instrs in
+  if instrs != b.b_instrs then b.b_instrs <- instrs;
+  (* also rewrite the terminator with end-of-block facts *)
+  (match b.b_term with
+  | Ir.Tbr (c, t, f) when known facts c ->
+      b.b_term <- Ir.Tbr (subst facts c, t, f);
+      changed := true
+  | Ir.Tret (Some v) when known facts v ->
+      b.b_term <- Ir.Tret (Some (subst facts v));
+      changed := true
+  | Ir.Tbr _ | Ir.Tret _ | Ir.Tjmp _ -> ());
+  List.iter (fun r -> facts.value.(r) <- None) facts.held;
+  facts.held <- [];
   !changed
 
 let run (fn : Ir.fn) : bool =
-  List.fold_left (fun acc b -> run_block b || acc) false fn.fn_blocks
+  let facts = { value = Array.make (max 1 fn.fn_nregs) None; held = [] } in
+  List.fold_left (fun acc b -> run_block facts b || acc) false fn.fn_blocks

@@ -5,121 +5,46 @@
 
 module Ir = Mv_ir.Ir
 
-module Iset = Set.Make (Int)
-module Imap = Map.Make (Int)
-
-let operand_regs ops =
-  List.filter_map (function Ir.Reg r -> Some r | Ir.Imm _ -> None) ops
-
-let term_uses = function
-  | Ir.Tbr (c, _, _) -> operand_regs [ c ]
-  | Ir.Tret (Some v) -> operand_regs [ v ]
-  | Ir.Tjmp _ | Ir.Tret None -> []
-
-(** Compute live-in sets for every block by backward fixpoint. *)
-let liveness (fn : Ir.fn) : Iset.t Imap.t =
-  let live_in = ref Imap.empty in
-  let get id = Option.value ~default:Iset.empty (Imap.find_opt id !live_in) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* iterate in reverse order for faster convergence *)
-    List.iter
-      (fun (b : Ir.block) ->
-        let live_out =
-          List.fold_left
-            (fun acc succ -> Iset.union acc (get succ))
-            Iset.empty
-            (Ir.successors b.b_term)
-        in
-        let live =
-          List.fold_left
-            (fun acc r -> Iset.add r acc)
-            live_out (term_uses b.b_term)
-        in
-        let live =
-          List.fold_right
-            (fun i live ->
-              let live =
-                match Ir.instr_def i with Some d -> Iset.remove d live | None -> live
-              in
-              List.fold_left
-                (fun acc op ->
-                  match op with Ir.Reg r -> Iset.add r acc | Ir.Imm _ -> acc)
-                live (Ir.instr_uses i))
-            b.b_instrs live
-        in
-        if not (Iset.equal live (get b.b_id)) then begin
-          live_in := Imap.add b.b_id live !live_in;
-          changed := true
-        end)
-      (List.rev fn.fn_blocks)
-  done;
-  !live_in
+(* A side-effecting instruction whose result is dead keeps its effect but
+   drops the destination (e.g. an ignored call return value). *)
+let drop_def = function
+  | Ir.Icall (Some _, f, args) -> Some (Ir.Icall (None, f, args))
+  | Ir.Icallp (Some _, f, args) -> Some (Ir.Icallp (None, f, args))
+  | Ir.Iintr (Some _, intr, args) -> Some (Ir.Iintr (None, intr, args))
+  | _ -> None
 
 let run (fn : Ir.fn) : bool =
-  let live_in = liveness fn in
-  let get id = Option.value ~default:Iset.empty (Imap.find_opt id live_in) in
+  let lv = Liveness.compute fn in
+  let live = Liveness.create_set lv in
+  let add_live r = Liveness.add live r in
   let changed = ref false in
-  List.iter
-    (fun (b : Ir.block) ->
-      let live_out =
-        List.fold_left
-          (fun acc succ -> Iset.union acc (get succ))
-          Iset.empty
-          (Ir.successors b.b_term)
-      in
-      let live =
-        List.fold_left (fun acc r -> Iset.add r acc) live_out (term_uses b.b_term)
-      in
-      (* walk backwards, dropping dead pure instructions *)
-      let live = ref live in
-      let keep =
-        List.fold_right
-          (fun i acc ->
-            let dead =
-              (not (Ir.instr_has_side_effect i))
-              &&
-              match Ir.instr_def i with
-              | Some d -> not (Iset.mem d !live)
-              | None -> true
-            in
-            if dead then begin
-              changed := true;
-              acc
-            end
-            else begin
-              (* side-effecting instruction with a dead result: keep it but
-                 drop the destination (e.g. an ignored call return value) *)
-              let i =
-                match Ir.instr_def i with
-                | Some d when not (Iset.mem d !live) -> (
-                    match i with
-                    | Ir.Icall (Some _, f, args) ->
-                        changed := true;
-                        Ir.Icall (None, f, args)
-                    | Ir.Icallp (Some _, f, args) ->
-                        changed := true;
-                        Ir.Icallp (None, f, args)
-                    | Ir.Iintr (Some _, intr, args) ->
-                        changed := true;
-                        Ir.Iintr (None, intr, args)
-                    | _ -> i)
-                | Some _ | None -> i
-              in
-              (match Ir.instr_def i with
-              | Some d -> live := Iset.remove d !live
-              | None -> ());
-              List.iter
-                (fun op ->
-                  match op with
-                  | Ir.Reg r -> live := Iset.add r !live
-                  | Ir.Imm _ -> ())
-                (Ir.instr_uses i);
-              i :: acc
-            end)
-          b.b_instrs []
-      in
-      b.b_instrs <- keep)
+  (* walk a block backwards over [live], sharing the unchanged tail *)
+  let rec walk = function
+    | [] -> []
+    | i :: rest as l -> (
+        let rest' = walk rest in
+        let d = Ir.def_reg i in
+        let dead_def = d >= 0 && not (Liveness.mem live d) in
+        if (not (Ir.instr_has_side_effect i)) && (dead_def || d < 0) then begin
+          changed := true;
+          rest'
+        end
+        else
+          let i' = if dead_def then drop_def i else None in
+          (match i' with
+          | Some _ -> changed := true
+          | None -> if d >= 0 then Liveness.remove live d);
+          let i = Option.value i' ~default:i in
+          Ir.iter_reg_uses add_live i;
+          match i' with
+          | None when rest' == rest -> l
+          | _ -> i :: rest')
+  in
+  List.iteri
+    (fun p (b : Ir.block) ->
+      Liveness.live_out lv p live;
+      Ir.iter_term_uses add_live b.b_term;
+      let instrs = walk b.b_instrs in
+      if instrs != b.b_instrs then b.b_instrs <- instrs)
     fn.fn_blocks;
   !changed

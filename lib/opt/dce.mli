@@ -2,14 +2,5 @@
     destinations are removed; side-effecting instructions are kept but a
     dead result register is dropped (e.g. an ignored call return value). *)
 
-module Iset : Set.S with type elt = int
-module Imap : Map.S with type key = int
-
-(** Registers read by a terminator. *)
-val term_uses : Mv_ir.Ir.terminator -> Mv_ir.Ir.reg list
-
-(** Live-in set per block (backward fixpoint). *)
-val liveness : Mv_ir.Ir.fn -> Iset.t Imap.t
-
 (** Run over one function; [true] if anything changed. *)
 val run : Mv_ir.Ir.fn -> bool

@@ -41,61 +41,172 @@ let canonical_form (fn : Ir.fn) : string =
   in
   List.iter (fun r -> ignore (canon_reg r)) fn.fn_params;
   let buf = Buffer.create 256 in
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int n = str (string_of_int n) in
+  let reg r =
+    chr 'r';
+    int (canon_reg r)
+  in
   let operand = function
-    | Ir.Reg r -> Printf.sprintf "r%d" (canon_reg r)
-    | Ir.Imm n -> Printf.sprintf "$%d" n
+    | Ir.Reg r -> reg r
+    | Ir.Imm n ->
+        chr '$';
+        int n
   in
   let block_ref id =
     match Hashtbl.find_opt block_index id with
-    | Some i -> Printf.sprintf "L%d" i
-    | None -> Printf.sprintf "L?%d" id
+    | Some i ->
+        chr 'L';
+        int i
+    | None ->
+        str "L?";
+        int id
   in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* " name[ rD]" for an instruction whose destination is optional *)
+  let head name d =
+    str name;
+    Option.iter
+      (fun d ->
+        chr ' ';
+        reg d)
+      d
+  in
+  let args l =
+    chr '(';
+    List.iteri
+      (fun k a ->
+        if k > 0 then chr ',';
+        operand a)
+      l;
+    chr ')'
+  in
+  (* Registers are numbered in the order the former [Printf]-based
+     printer evaluated them: operands right to left, call arguments left
+     to right, then the destination.  Structural hashes (the variant
+     cache's dedup keys) digest this text, so the order is part of it. *)
+  let number_op = function Ir.Reg r -> ignore (canon_reg r) | Ir.Imm _ -> () in
+  let number = function
+    | Ir.Imov (d, a) | Ir.Iun (_, d, a) | Ir.Iload (d, a, _) ->
+        number_op a;
+        ignore (canon_reg d)
+    | Ir.Ibin (_, d, a, b) ->
+        number_op b;
+        number_op a;
+        ignore (canon_reg d)
+    | Ir.Istore (a, v, _) ->
+        number_op v;
+        number_op a
+    | Ir.Istoreg (_, v, _) -> number_op v
+    | Ir.Iloadg (d, _, _) | Ir.Iaddr (d, _) -> ignore (canon_reg d)
+    | Ir.Icall (d, _, l) | Ir.Icallp (d, _, l) | Ir.Iintr (d, _, l) ->
+        List.iter number_op l;
+        Option.iter (fun d -> ignore (canon_reg d)) d
+    | Ir.Isafepoint _ -> ()
+  in
   List.iter
     (fun id ->
       match Hashtbl.find_opt blocks id with
       | None -> ()
       | Some b ->
-          add "%s:\n" (block_ref id);
+          block_ref id;
+          str ":\n";
           List.iter
             (fun i ->
+              number i;
               (match i with
-              | Ir.Imov (d, s) -> add " mov r%d,%s" (canon_reg d) (operand s)
+              | Ir.Imov (d, s) ->
+                  str " mov ";
+                  reg d;
+                  chr ',';
+                  operand s
               | Ir.Iun (op, d, a) ->
-                  add " %s r%d,%s" (Ir.unop_name op) (canon_reg d) (operand a)
+                  chr ' ';
+                  str (Ir.unop_name op);
+                  chr ' ';
+                  reg d;
+                  chr ',';
+                  operand a
               | Ir.Ibin (op, d, a, b') ->
-                  add " %s r%d,%s,%s" (Ir.binop_name op) (canon_reg d) (operand a)
-                    (operand b')
-              | Ir.Iload (d, a, w) -> add " ld%d r%d,%s" w (canon_reg d) (operand a)
-              | Ir.Istore (a, v, w) -> add " st%d %s,%s" w (operand a) (operand v)
-              | Ir.Iloadg (d, s, w) -> add " ldg%d r%d,@%s" w (canon_reg d) s
-              | Ir.Istoreg (s, v, w) -> add " stg%d @%s,%s" w s (operand v)
-              | Ir.Iaddr (d, s) -> add " addr r%d,@%s" (canon_reg d) s
-              | Ir.Icall (d, s, args) ->
-                  add " call%s @%s(%s)"
-                    (match d with Some d -> Printf.sprintf " r%d" (canon_reg d) | None -> "")
-                    s
-                    (String.concat "," (List.map operand args))
-              | Ir.Icallp (d, s, args) ->
-                  add " callp%s [@%s](%s)"
-                    (match d with Some d -> Printf.sprintf " r%d" (canon_reg d) | None -> "")
-                    s
-                    (String.concat "," (List.map operand args))
-              | Ir.Iintr (d, intr, args) ->
-                  add " intr%s %s(%s)"
-                    (match d with Some d -> Printf.sprintf " r%d" (canon_reg d) | None -> "")
-                    (Minic.Ast.intrinsic_name intr)
-                    (String.concat "," (List.map operand args))
+                  chr ' ';
+                  str (Ir.binop_name op);
+                  chr ' ';
+                  reg d;
+                  chr ',';
+                  operand a;
+                  chr ',';
+                  operand b'
+              | Ir.Iload (d, a, w) ->
+                  str " ld";
+                  int w;
+                  chr ' ';
+                  reg d;
+                  chr ',';
+                  operand a
+              | Ir.Istore (a, v, w) ->
+                  str " st";
+                  int w;
+                  chr ' ';
+                  operand a;
+                  chr ',';
+                  operand v
+              | Ir.Iloadg (d, s, w) ->
+                  str " ldg";
+                  int w;
+                  chr ' ';
+                  reg d;
+                  str ",@";
+                  str s
+              | Ir.Istoreg (s, v, w) ->
+                  str " stg";
+                  int w;
+                  str " @";
+                  str s;
+                  chr ',';
+                  operand v
+              | Ir.Iaddr (d, s) ->
+                  str " addr ";
+                  reg d;
+                  str ",@";
+                  str s
+              | Ir.Icall (d, s, l) ->
+                  head " call" d;
+                  str " @";
+                  str s;
+                  args l
+              | Ir.Icallp (d, s, l) ->
+                  head " callp" d;
+                  str " [@";
+                  str s;
+                  chr ']';
+                  args l
+              | Ir.Iintr (d, intr, l) ->
+                  head " intr" d;
+                  chr ' ';
+                  str (Minic.Ast.intrinsic_name intr);
+                  args l
               (* ids are inserted before cloning, so structurally equal
                  clones carry identical ids and still merge *)
-              | Ir.Isafepoint id -> add " safept %d" id);
-              Buffer.add_char buf '\n')
+              | Ir.Isafepoint id ->
+                  str " safept ";
+                  int id);
+              chr '\n')
             b.b_instrs;
           (match b.b_term with
-          | Ir.Tjmp t -> add " jmp %s\n" (block_ref t)
-          | Ir.Tbr (c, t, f) -> add " br %s,%s,%s\n" (operand c) (block_ref t) (block_ref f)
-          | Ir.Tret None -> add " ret\n"
-          | Ir.Tret (Some v) -> add " ret %s\n" (operand v)))
+          | Ir.Tjmp t ->
+              str " jmp ";
+              block_ref t
+          | Ir.Tbr (c, t, f) ->
+              str " br ";
+              operand c;
+              chr ',';
+              block_ref t;
+              chr ',';
+              block_ref f
+          | Ir.Tret None -> str " ret"
+          | Ir.Tret (Some v) ->
+              str " ret ";
+              operand v);
+          chr '\n')
     rpo;
   Buffer.contents buf
 

@@ -1,10 +1,7 @@
-(** Control-flow graph cleanup: unreachable-block removal, empty-block
-    forwarding, and straight-line merging.  The entry block keeps its
-    position at the head of the block list. *)
+(** Control-flow graph cleanup: empty-block forwarding, unreachable-block
+    removal, and straight-line merging.  The entry block keeps its
+    position at the head of the block list.  A jump to a block the
+    function does not contain raises [Invalid_argument]. *)
 
-val remove_unreachable : Mv_ir.Ir.fn -> bool
-val skip_empty : Mv_ir.Ir.fn -> bool
-val merge_straight_line : Mv_ir.Ir.fn -> bool
-
-(** All of the above, in order; [true] if anything changed. *)
+(** All cleanups, in order; [true] if anything changed. *)
 val run : Mv_ir.Ir.fn -> bool

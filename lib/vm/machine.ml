@@ -43,9 +43,14 @@ type decode_stats = {
     same slot.  Like the perf counters, incrementing them charges zero
     simulated cycles. *)
 type heat_counters = {
-  hh_hits : int array;  (** cumulative entries via the dispatch slow path *)
-  hh_insns : int array;  (** cumulative instructions dispatched from here *)
-  hh_ends : int array;  (** text offset one past the block's last byte *)
+  hh_chunks : int array array;
+      (** [hh_chunks.(off lsr 8)] holds, for the 256 entry offsets of
+          that range at [i = off land 255]: cumulative entries via the
+          dispatch slow path at [i], cumulative instructions dispatched
+          from there at [256 + i], and the text offset one past the
+          block's last byte at [512 + i].  One slot per 256 bytes of code
+          span; a slot shares a never-written empty chunk until the
+          first hit in its range *)
 }
 
 type t = {
@@ -137,11 +142,13 @@ and superblock = {
 let return_sentinel = 0
 
 (* The dispatch index's chunk geometry, and the one chunk every slot
-   shares until a block is registered there.  It is never written, so
-   machines on any domain may share it. *)
+   shares until a block is registered there; the heat counters use the
+   same geometry with their own shared chunk.  Neither shared chunk is
+   ever written, so machines on any domain may share them. *)
 let chunk_bits = 8
 let chunk_mask = (1 lsl chunk_bits) - 1
 let empty_chunk : superblock option array = Array.make (1 lsl chunk_bits) None
+let empty_heat_chunk : int array = Array.make (3 lsl chunk_bits) 0
 
 let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
     ?(hart_id = 0) ?stack_base (image : Image.t) : t =
@@ -283,13 +290,11 @@ let enable_heat t =
   match t.heat with
   | Some _ -> ()
   | None ->
-      let n = max 1 t.image.Image.text.Image.sr_size in
       t.heat <-
         Some
           {
-            hh_hits = Array.make n 0;
-            hh_insns = Array.make n 0;
-            hh_ends = Array.make n 0;
+            hh_chunks =
+              Array.make ((t.code_span + chunk_mask) lsr chunk_bits) empty_heat_chunk;
           }
 
 (** Snapshot the heat counters as [(lo, hi, hits, insns)] per superblock
@@ -304,11 +309,19 @@ let heat_blocks t : (int * int * int * int) list =
   | Some h ->
       let base = text_base t in
       let acc = ref [] in
-      for off = Array.length h.hh_hits - 1 downto 0 do
-        let n = Array.unsafe_get h.hh_hits off in
-        if n > 0 then
-          acc :=
-            (base + off, base + h.hh_ends.(off), n, h.hh_insns.(off)) :: !acc
+      for slot = Array.length h.hh_chunks - 1 downto 0 do
+        let c = h.hh_chunks.(slot) in
+        if c != empty_heat_chunk then
+          for i = chunk_mask downto 0 do
+            let n = c.(i) in
+            if n > 0 then
+              acc :=
+                ( base + (slot lsl chunk_bits) + i,
+                  base + c.((2 lsl chunk_bits) + i),
+                  n,
+                  c.((1 lsl chunk_bits) + i) )
+                :: !acc
+          done
       done;
       !acc
 
@@ -320,20 +333,13 @@ let check_code t pc off =
    and at least the static text, capped at the code span, so a lazy image
    that materializes bodies across its variant-text region regrows
    O(log) times.  Entries keep their offsets.  Sizes the reference
-   stepper's cache and the heat counters. *)
+   stepper's cache. *)
 let extend_map t a fill off =
   let text = t.image.Image.text.Image.sr_size in
   let n = min t.code_span (max (off + 1) (max text (2 * Array.length a))) in
   let a' = Array.make n fill in
   Array.blit a 0 a' 0 (Array.length a);
   a'
-
-(* Grow the heat counters to cover [off], keeping accumulated heat. *)
-let grow_heat t h off =
-  let grow a = extend_map t a 0 off in
-  let h = { hh_hits = grow h.hh_hits; hh_insns = grow h.hh_insns; hh_ends = grow h.hh_ends } in
-  t.heat <- Some h;
-  h
 
 let fetch t pc : Insn.t * int =
   let off = pc - text_base t in
@@ -713,10 +719,20 @@ let locate_slow t pc : superblock =
   (match t.heat with
   | None -> ()
   | Some h ->
-      let h = if off < Array.length h.hh_hits then h else grow_heat t h off in
-      h.hh_hits.(off) <- h.hh_hits.(off) + 1;
-      h.hh_insns.(off) <- h.hh_insns.(off) + Array.length b.sb_ops;
-      h.hh_ends.(off) <- b.sb_end);
+      let slot = off lsr chunk_bits in
+      let c =
+        let c = h.hh_chunks.(slot) in
+        if c != empty_heat_chunk then c
+        else begin
+          let c = Array.make (3 lsl chunk_bits) 0 in
+          h.hh_chunks.(slot) <- c;
+          c
+        end
+      in
+      let i = off land chunk_mask in
+      c.(i) <- c.(i) + 1;
+      c.((1 lsl chunk_bits) + i) <- c.((1 lsl chunk_bits) + i) + Array.length b.sb_ops;
+      c.((2 lsl chunk_bits) + i) <- b.sb_end);
   b
 
 (** Execute exactly one instruction at [t.pc] through the superblock

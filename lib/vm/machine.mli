@@ -41,9 +41,14 @@ type decode_stats = {
     to its entry; rebuilding the block resumes counting in the same
     slot.  Incrementing them charges zero simulated cycles. *)
 type heat_counters = {
-  hh_hits : int array;  (** cumulative entries via the dispatch slow path *)
-  hh_insns : int array;  (** cumulative instructions dispatched from here *)
-  hh_ends : int array;  (** text offset one past the block's last byte *)
+  hh_chunks : int array array;
+      (** [hh_chunks.(off lsr 8)] holds, for the 256 entry offsets of
+          that range at [i = off land 255]: cumulative entries via the
+          dispatch slow path at [i], cumulative instructions dispatched
+          from there at [256 + i], and the text offset one past the
+          block's last byte at [512 + i].  One slot per 256 bytes of code
+          span; a slot shares a never-written empty chunk until the
+          first hit in its range *)
 }
 
 type t = {

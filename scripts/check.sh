@@ -20,7 +20,7 @@ dune runtest
 # The elapsed time is printed so the log shows the end-to-end wait of a
 # campaign, the host cost ROADMAP tracks.
 fuzz_status=0
-fuzz_log=$(mktemp /tmp/mv-fuzz-XXXXXX.log)
+fuzz_log=$(mktemp "${TMPDIR:-/tmp}/mv-fuzz-XXXXXX.log")
 fuzz_start=$(date +%s)
 dune exec bin/mvfuzz.exe -- --iters 500 --seed 1 --quiet \
   ${MVFUZZ_CORPUS:+--corpus "$MVFUZZ_CORPUS"} > "$fuzz_log" 2>&1 \
@@ -31,7 +31,7 @@ if [ "$fuzz_status" -ne 0 ]; then
   if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ] \
       && grep -q "lazy-eager-equiv" "$fuzz_log"; then
     mkdir -p "$MV_SMP_ARTIFACT_DIR"
-    lazy_heat_mvc=$(mktemp /tmp/mv-lazy-heat-XXXXXX.mvc)
+    lazy_heat_mvc=$(mktemp "${TMPDIR:-/tmp}/mv-lazy-heat-XXXXXX.mvc")
     cat > "$lazy_heat_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;
@@ -78,7 +78,7 @@ fi
 # parked frame from the wrong register or spill slot — and the diverged
 # case must leave an mv-flight/1 dump that `mvtrace postmortem` parses.
 # If the chaos run exits 0 the OSR oracle has lost its teeth.
-osr_flight_dir=$(mktemp -d /tmp/mv-osr-flight-XXXXXX)
+osr_flight_dir=$(mktemp -d "${TMPDIR:-/tmp}/mv-osr-flight-XXXXXX")
 if MV_SMP_ARTIFACT_DIR="$osr_flight_dir" dune exec bin/mvfuzz.exe -- \
     --iters 3 --seed 1 --quiet --small --chaos corrupt-framemap \
     --oracle osr-state-equiv --shrink-budget 0 > /dev/null 2>&1; then
@@ -99,7 +99,7 @@ rm -rf "$osr_flight_dir"
 
 # Smoke the machine-readable bench export: one fast experiment, then
 # check the document parses and carries the expected schema/rows.
-bench_json=$(mktemp /tmp/mv-bench-XXXXXX.json)
+bench_json=$(mktemp "${TMPDIR:-/tmp}/mv-bench-XXXXXX.json")
 trap 'rm -f "$bench_json"' EXIT
 dune exec bench/main.exe -- --fast --only fig1 --no-bechamel --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
@@ -116,8 +116,8 @@ fi
 # variant frame, and the fig1 rows just produced must match the committed
 # baseline (the simulator is deterministic, so any drift beyond the gate
 # means BENCH_results.json is stale).
-smoke_mvc=$(mktemp /tmp/mv-smoke-XXXXXX.mvc)
-smoke_folded=$(mktemp /tmp/mv-folded-XXXXXX.txt)
+smoke_mvc=$(mktemp "${TMPDIR:-/tmp}/mv-smoke-XXXXXX.mvc")
+smoke_folded=$(mktemp "${TMPDIR:-/tmp}/mv-folded-XXXXXX.txt")
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded"' EXIT
 cat > "$smoke_mvc" <<'EOF'
 multiverse int config_smp;
@@ -139,7 +139,7 @@ dune exec bin/mvtrace.exe -- diff --gate 5 BENCH_results.json "$bench_json" > /d
 # Heat smoke: the block-heat census on the same workload must attribute
 # nonzero heat to the committed variant's text region (if the variant
 # region reads 0 the dispatch-path hook or the region census is broken).
-smoke_heat=$(mktemp /tmp/mv-heat-XXXXXX.txt)
+smoke_heat=$(mktemp "${TMPDIR:-/tmp}/mv-heat-XXXXXX.txt")
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_heat"' EXIT
 dune exec bin/mvtrace.exe -- heat "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 > "$smoke_heat" 2> /dev/null
@@ -154,9 +154,9 @@ awk '$1 == "spin_lock.config_smp=1" && $6 + 0 > 0 { found = 1 } END { exit !foun
 # corpus a single-domain run writes (case seeds are domain-count
 # invariant).  Chaos skip-flush guarantees divergences, so both runs
 # exit 1 by contract and the compared corpora are non-empty.
-corpus_1dom=$(mktemp -d /tmp/mv-corpus1-XXXXXX)
-corpus_ndom=$(mktemp -d /tmp/mv-corpus2-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
+corpus_1dom=$(mktemp -d "${TMPDIR:-/tmp}/mv-corpus1-XXXXXX")
+corpus_ndom=$(mktemp -d "${TMPDIR:-/tmp}/mv-corpus2-XXXXXX")
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_heat"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
 run_striped_campaign() {
   status=0
   dune exec bin/mvfuzz.exe -- --iters 4 --seed 1 --small --quiet \
@@ -182,9 +182,9 @@ echo "$clean_ndom" | grep -q "^mvfuzz: 20 case(s), no divergence" \
 # make the run exit non-zero AND leave a mv-flight/1 dump that
 # `mvtrace postmortem` parses.  If either half breaks, the postmortem
 # story is dead even though every green-path test still passes.
-trap_mvc=$(mktemp /tmp/mv-trap-XXXXXX.mvc)
-flight_dir=$(mktemp -d /tmp/mv-flight-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
+trap_mvc=$(mktemp "${TMPDIR:-/tmp}/mv-trap-XXXXXX.mvc")
+flight_dir=$(mktemp -d "${TMPDIR:-/tmp}/mv-flight-XXXXXX")
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_heat" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
 cat > "$trap_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;

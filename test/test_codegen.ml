@@ -66,7 +66,7 @@ let test_register_pressure_spilling () =
   in
   let prog = lower src in
   let f = List.hd prog.Ir.p_fns in
-  let ra = Regalloc.allocate f in
+  let ra = Regalloc.allocate (Mv_opt.Liveness.compute f) f in
   check_bool "spill slots allocated" true (ra.Regalloc.frame_slots > 0);
   check_diff ~args:[ 100 ] "spilled function still correct" src "f"
 

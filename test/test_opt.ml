@@ -195,6 +195,72 @@ let test_merge_block_order_insensitive () =
   let f = fn_named p1 "f" and g = fn_named p1 "g" in
   check_bool "same shape merges" true (Merge.equal_bodies f g)
 
+(* [canonical_form] is digested into the variant cache's dedup keys, so
+   its text is pinned byte for byte.  The expected strings were recorded
+   from the [Printf]-based printer; registers are numbered in that
+   printer's evaluation order (operands right to left, call arguments
+   left to right, then the destination). *)
+let canon_blk id instrs term = { Ir.b_id = id; b_instrs = instrs; b_term = term }
+
+let canon_fn name params nregs blocks =
+  { Ir.fn_name = name; fn_params = params; fn_blocks = blocks; fn_nregs = nregs;
+    fn_noinline = false; fn_conv = Ir.Standard; fn_multiverse = false; fn_bind = None }
+
+let test_canonical_form_pinned () =
+  let every_form =
+    canon_fn "every_form" [ 3; 1 ] 16
+      [ canon_blk 7
+          [ Ir.Imov (5, Ir.Imm (-4)); Ir.Iun (Ir.Neg, 6, Ir.Reg 3);
+            Ir.Ibin (Ir.Add, 8, Ir.Reg 5, Ir.Reg 1); Ir.Iload (9, Ir.Reg 8, 4);
+            Ir.Istore (Ir.Reg 9, Ir.Imm 12, 1); Ir.Iloadg (10, "cfg", 2);
+            Ir.Istoreg ("out", Ir.Reg 10, 8); Ir.Iaddr (11, "tbl") ]
+          (Ir.Tbr (Ir.Reg 11, 9, 4));
+        canon_blk 5 [] (Ir.Tret (Some (Ir.Imm 3)));
+        canon_blk 4 [ Ir.Ibin (Ir.Shr, 15, Ir.Reg 6, Ir.Imm 2) ] (Ir.Tjmp 6);
+        canon_blk 9
+          [ Ir.Icall (Some 12, "g", [ Ir.Reg 3; Ir.Imm 0 ]); Ir.Isafepoint 2;
+            Ir.Icall (None, "h", []); Ir.Icallp (Some 13, "fp", [ Ir.Reg 12 ]);
+            Ir.Icallp (None, "fp", []);
+            Ir.Iintr (Some 14, Minic.Ast.Iatomic_xchg, [ Ir.Reg 8; Ir.Imm 1 ]);
+            Ir.Iintr (None, Minic.Ast.Ifence, []) ]
+          (Ir.Tjmp 4);
+        canon_blk 6 [] (Ir.Tret None) ]
+  in
+  (* every register first seen here, to pin the numbering order *)
+  let fresh_order =
+    canon_fn "fresh_order" [] 40
+      [ canon_blk 0
+          [ Ir.Ibin (Ir.Sub, 20, Ir.Reg 21, Ir.Reg 22); Ir.Imov (23, Ir.Reg 24);
+            Ir.Iun (Ir.Bnot, 30, Ir.Reg 31); Ir.Iload (32, Ir.Reg 33, 8);
+            Ir.Istore (Ir.Reg 25, Ir.Reg 26, 8); Ir.Istoreg ("g", Ir.Reg 34, 4);
+            Ir.Icall (Some 27, "k", [ Ir.Reg 28; Ir.Reg 29 ]);
+            Ir.Icallp (Some 35, "fp", [ Ir.Reg 36; Ir.Imm 7; Ir.Reg 37 ]);
+            Ir.Iintr (Some 38, Minic.Ast.Iatomic_xchg, [ Ir.Reg 39; Ir.Reg 1 ]) ]
+          (Ir.Tret (Some (Ir.Reg 2))) ]
+  in
+  let dangling =
+    canon_fn "dangling" [ 0 ] 1
+      [ canon_blk 0 [] (Ir.Tbr (Ir.Reg 0, 1, 99)); canon_blk 1 [] (Ir.Tret (Some (Ir.Imm 1))) ]
+  in
+  let loop =
+    optimized
+      "int f(int n) { int s = 0; while (n) { s += n; n = n - 1; } return s * 3; }" "f"
+  in
+  List.iter
+    (fun (fn, expected) -> check_string fn.Ir.fn_name expected (Merge.canonical_form fn))
+    [
+      ( every_form,
+        "L0:\n mov r2,$-4\n neg r3,r0\n add r4,r2,r1\n ld4 r5,r4\n st1 r5,$12\n ldg2 r6,@cfg\n stg8 @out,r6\n addr r7,@tbl\n br r7,L1,L2\nL1:\n call r8 @g(r0,$0)\n safept 2\n call @h()\n callp r9 [@fp](r8)\n callp [@fp]()\n intr r10 __atomic_xchg(r4,$1)\n intr __fence()\n jmp L2\nL2:\n shr r11,r3,$2\n jmp L3\nL3:\n ret\n"
+      );
+      ( fresh_order,
+        "L0:\n sub r2,r1,r0\n mov r4,r3\n bnot r6,r5\n ld8 r8,r7\n st8 r10,r9\n stg4 @g,r11\n call r14 @k(r12,r13)\n callp r17 [@fp](r15,$7,r16)\n intr r20 __atomic_xchg(r18,r19)\n ret r21\n"
+      );
+      (dangling, "L0:\n br r0,L2,L1\nL2:\n ret $1\n");
+      ( loop,
+        "L0:\n mov r1,$0\n jmp L1\nL1:\n br r0,L3,L2\nL2:\n mul r2,r1,$3\n ret r2\nL3:\n add r3,r1,r0\n mov r1,r3\n sub r4,r0,$1\n mov r0,r4\n jmp L1\n"
+      );
+    ]
+
 let test_optimizer_terminates () =
   (* a pathological but legal function: the fixpoint must stop *)
   let src =
@@ -220,6 +286,71 @@ let test_semantic_preservation_battery () =
       ("int a[4]; int f(int i) { a[i] = i; return a[i]; }", "f", [ 2 ]);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Optimizer host cost                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A specialized clone of a hundred instructions: loops, a switch, a call,
+   array loads and stores, and switch reads bound to a constant. *)
+let alloc_clone_src =
+  {|multiverse int mode;
+    int acc;
+    int tbl[8];
+    int helper(int x) { return x + 1; }
+    multiverse int mix(int n, int k) {
+      int s = 0;
+      int t = k;
+      int u = n * 3 + k;
+      for (int i = 0; i < n; i++) {
+        if (mode) { s = s + tbl[i & 7] * 3; t = t ^ s; } else { s = s - i; t = t + 1; }
+        if (mode == 2) { acc = acc + t; tbl[t & 7] = s; }
+        while (t > 100) { t = t - 7; }
+        u = u + (s & 15) - (t >> 2);
+      }
+      for (int j = 0; j < 4; j++) {
+        if (mode > 1) { u = u + helper(j); } else { u = u - j * 2; }
+        tbl[j] = u + s;
+        acc = acc + tbl[(j + u) & 7];
+      }
+      switch (k) {
+        case 1: s = s + 1; break;
+        case 2: s = s * 2; break;
+        case 3: s = s - u; break;
+        default: s = s + t;
+      }
+      if (mode == 3) { acc = acc * 2 + u; }
+      if (mode) { acc = acc + s; } else { acc = acc - s; }
+      if (u > s) { t = t + u; } else { t = t - s; }
+      return s + t + u;
+    }|}
+
+let alloc_clone () =
+  let f = fn_named (lower alloc_clone_src) "mix" in
+  let clone = Ir.copy_fn f in
+  List.iter
+    (fun (b : Ir.block) ->
+      b.Ir.b_instrs <-
+        List.map
+          (function Ir.Iloadg (d, "mode", _) -> Ir.Imov (d, Ir.Imm 1) | i -> i)
+          b.Ir.b_instrs)
+    clone.Ir.fn_blocks;
+  clone
+
+(* Optimizing it allocates 74,475 words with set/map liveness, hash-table
+   facts and map-indexed CFG cleanup, and 6,185 with the dense dataflow. *)
+let optimize_words_bound = 15_000.
+
+let test_optimize_alloc_bound () =
+  let clone = alloc_clone () in
+  check_bool "about a hundred instructions" true
+    (let n = count_instrs (fun _ -> true) clone in
+     n >= 90 && n <= 110);
+  let w, () = alloc_words (fun () -> Pass.optimize_fn clone) in
+  check_bool
+    (Printf.sprintf "optimize_fn allocated %.0f words (< %.0f)" w optimize_words_bound)
+    true
+    (w < optimize_words_bound)
+
 let suite =
   [
     tc "constant folding" test_constant_folding;
@@ -238,6 +369,8 @@ let suite =
     tc "merge: constants distinguish" test_merge_distinguishes_constants;
     tc "merge: symbols distinguish" test_merge_distinguishes_symbols;
     tc "merge: block-order insensitive" test_merge_block_order_insensitive;
+    tc "merge: canonical form text pinned" test_canonical_form_pinned;
+    tc "optimize_fn allocation bound" test_optimize_alloc_bound;
     tc "optimizer terminates" test_optimizer_terminates;
     tc "semantic preservation battery" test_semantic_preservation_battery;
   ]

@@ -333,6 +333,143 @@ let prop_compile_deterministic =
       && a.Compiler.cu_warnings = b.Compiler.cu_warnings)
 
 (* ------------------------------------------------------------------ *)
+(* Optimizer dataflow                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Ir = Mv_ir.Ir
+module Liveness = Mv_opt.Liveness
+module Iset = Set.Make (Int)
+
+(* Textbook liveness over [Set]s: use/def read straight off the
+   constructors, then round-robin iteration of the block transfer
+   functions until no live-in set changes. *)
+let reference_def = function
+  | Ir.Imov (d, _) | Ir.Iun (_, d, _) | Ir.Ibin (_, d, _, _) | Ir.Iload (d, _, _)
+  | Ir.Iloadg (d, _, _) | Ir.Iaddr (d, _) -> Some d
+  | Ir.Icall (d, _, _) | Ir.Icallp (d, _, _) | Ir.Iintr (d, _, _) -> d
+  | Ir.Istore _ | Ir.Istoreg _ | Ir.Isafepoint _ -> None
+
+let reference_uses = function
+  | Ir.Imov (_, a) | Ir.Iun (_, _, a) | Ir.Iload (_, a, _) | Ir.Istoreg (_, a, _) -> [ a ]
+  | Ir.Ibin (_, _, a, b) | Ir.Istore (a, b, _) -> [ a; b ]
+  | Ir.Icall (_, _, args) | Ir.Icallp (_, _, args) | Ir.Iintr (_, _, args) -> args
+  | Ir.Iloadg _ | Ir.Iaddr _ | Ir.Isafepoint _ -> []
+
+let reference_live_in (fn : Ir.fn) : (int * int list) list =
+  let live_in = Hashtbl.create 16 in
+  let get id = Option.value ~default:Iset.empty (Hashtbl.find_opt live_in id) in
+  let regs ops =
+    List.fold_left
+      (fun s -> function Ir.Reg r -> Iset.add r s | Ir.Imm _ -> s)
+      Iset.empty ops
+  in
+  let transfer (b : Ir.block) =
+    let out =
+      List.fold_left (fun s id -> Iset.union s (get id)) Iset.empty (Ir.successors b.b_term)
+    in
+    let term =
+      match b.b_term with
+      | Ir.Tbr (c, _, _) | Ir.Tret (Some c) -> regs [ c ]
+      | Ir.Tjmp _ | Ir.Tret None -> Iset.empty
+    in
+    List.fold_right
+      (fun i live ->
+        let live = match reference_def i with Some d -> Iset.remove d live | None -> live in
+        Iset.union live (regs (reference_uses i)))
+      b.b_instrs (Iset.union out term)
+  in
+  let rec fix () =
+    let changed =
+      List.fold_left
+        (fun changed (b : Ir.block) ->
+          let s = transfer b in
+          if Iset.equal s (get b.b_id) then changed
+          else begin
+            Hashtbl.replace live_in b.b_id s;
+            true
+          end)
+        false fn.fn_blocks
+    in
+    if changed then fix ()
+  in
+  fix ();
+  List.map (fun (b : Ir.block) -> (b.b_id, Iset.elements (get b.b_id))) fn.fn_blocks
+
+let dense_live_in (fn : Ir.fn) =
+  let lv = Liveness.compute fn in
+  List.map (fun (b : Ir.block) -> (b.b_id, Liveness.live_in lv b.b_id)) fn.fn_blocks
+
+(* Every body a case's optimizer sees: the lowered functions, and clones
+   of each lazy recipe bound to up to four in-domain assignments (the
+   bodies variant generation and materialization optimize). *)
+let optimizer_inputs cfg seed : Ir.fn list =
+  let src = (Gen.case ~cfg seed).Gen.c_src in
+  let prog, _ = Mv_ir.Lower.lower_string src in
+  let cu =
+    Compiler.compile_unit ~lazy_variants:true { Compiler.u_name = "main"; u_source = src }
+  in
+  let clones =
+    List.concat_map
+      (fun (rc : Core.Variantgen.recipe) ->
+        let assignments =
+          List.fold_left
+            (fun acc (sw, dom) ->
+              let dom = List.filteri (fun i _ -> i < 2) dom in
+              List.concat_map (fun a -> List.map (fun v -> (sw, v) :: a) dom) acc)
+            [ [] ] rc.Core.Variantgen.rc_switches
+        in
+        List.filteri (fun i _ -> i < 4) assignments
+        |> List.map (fun a ->
+               let clone = Ir.copy_fn rc.Core.Variantgen.rc_body in
+               Core.Variantgen.bind_switches clone a;
+               clone))
+      cu.Compiler.cu_recipes
+  in
+  prog.Ir.p_fns @ clones
+
+let arbitrary_cfg_seed =
+  QCheck.make
+    ~print:(fun (small, seed) ->
+      Printf.sprintf "seed %d (%s cfg)" seed (if small then "small" else "default"))
+    QCheck.Gen.(pair bool (int_range 0 1_000_000))
+
+(** The dense bitset liveness equals the textbook set-based one on every
+    body the optimizer sees, before and after optimization. *)
+let prop_dense_liveness =
+  QCheck.Test.make ~name:"dense liveness equals set-based liveness" ~count:30
+    arbitrary_cfg_seed (fun (small, seed) ->
+      let cfg = if small then Gen.small_cfg else Gen.default_cfg in
+      List.for_all
+        (fun fn ->
+          let optimized = Ir.copy_fn fn in
+          Mv_opt.Pass.optimize_fn optimized;
+          List.for_all
+            (fun f ->
+              dense_live_in f = reference_live_in f
+              || QCheck.Test.fail_reportf "live-in sets differ in %s:\n%s" f.Ir.fn_name
+                   (Ir.fn_to_string f))
+            [ fn; optimized ])
+        (optimizer_inputs cfg seed))
+
+(** Change reporting is exact: at the optimizer's fixpoint every pass
+    reports no change. *)
+let prop_fixpoint_reports_no_change =
+  QCheck.Test.make ~name:"passes report no change at the fixpoint" ~count:30
+    arbitrary_cfg_seed (fun (small, seed) ->
+      let cfg = if small then Gen.small_cfg else Gen.default_cfg in
+      List.for_all
+        (fun fn ->
+          let fn = Ir.copy_fn fn in
+          Mv_opt.Pass.optimize_fn fn;
+          List.for_all
+            (fun (p : Mv_opt.Pass.pass) ->
+              (not (p.run fn))
+              || QCheck.Test.fail_reportf "%s reported a change in %s:\n%s" p.name
+                   fn.Ir.fn_name (Ir.fn_to_string fn))
+            Mv_opt.Pass.default_pipeline)
+        (optimizer_inputs cfg seed))
+
+(* ------------------------------------------------------------------ *)
 (* Reference-interpreter memory                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -424,5 +561,7 @@ let suite =
       prop_canonical_form_invariant;
       prop_truncate;
       prop_compile_deterministic;
+      prop_dense_liveness;
+      prop_fixpoint_reports_no_change;
       prop_interp_memory;
     ]

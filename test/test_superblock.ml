@@ -388,7 +388,8 @@ let heat_kept ~before m =
    for the bytes it could run: creating one allocates well under its
    text's and variant-text region's size in words, on an eager image and
    on a lazy one alike, and reaching the far end of a 512 KiB region adds
-   one chunk of the dispatch index, not an index up to there. *)
+   one chunk of the dispatch index (and, with heat armed, one chunk of
+   heat counters), not an index up to there. *)
 let words_bound = 4_000.
 
 let check_words what bound w =
@@ -413,13 +414,16 @@ let test_maps_grow_into_vtext () =
   let copy = place_far_copy img patch in
   let want = Machine.call m "far" [ 6 ] in
   let before = Machine.heat_blocks m in
-  (* heat is off for the bound: its counters do grow to the far end *)
   let cold = Machine.create img in
   ignore (Machine.call cold "driver" [ 1 ]);
   let w, got = alloc_words (fun () -> Machine.call cold "far_copy" [ 6 ]) in
   check_int "far-end body executes on a fresh machine" want got;
   check_words "dispatching the far-end block" words_bound w;
-  check_int "far-end body executes" want (Machine.call m "far_copy" [ 6 ]);
+  (* with heat armed, counting the far-end block adds one chunk of
+     counters, not counters up to there *)
+  let w, got = alloc_words (fun () -> Machine.call m "far_copy" [ 6 ]) in
+  check_int "far-end body executes" want got;
+  check_words "dispatching the far-end block with heat armed" words_bound w;
   check_bool "static heat survives the growth" true (heat_kept ~before m);
   check_bool "far-end block counted" true
     (List.exists (fun (lo, _, hits, _) -> lo = fst copy && hits > 0) (Machine.heat_blocks m));
